@@ -20,10 +20,21 @@ cd "$(dirname "$0")/.."
 
 preset=default
 label_regex=""
-txn_mode=0
-hotkey_mode=0
-scan_mode=0
-failover_mode=0
+mode=""
+# Dedicated label modes (--txn, --hotkey, --scan, --failover): each runs its
+# ctest label alone and, in the default preset, widens that suite's seeded
+# sweeps to these VAR=default values (an exported VAR still wins):
+#   txn      -- the txn-kill-mid-commit family, well past the 100-run floor
+#   hotkey   -- the promotion/invalidation family, past the 6 in-suite runs
+#   scan     -- the scan-mid-migration family past its 25 in-suite runs, and
+#               the index model check past its 200-seed floor
+#   failover -- the kill/torn-revocation/split-ballot family, past 40 runs
+declare -A widen=(
+  [txn]="HYDRA_TXN_RANDOM_RUNS=200"
+  [hotkey]="HYDRA_HOTKEY_RANDOM_RUNS=60"
+  [scan]="HYDRA_SCAN_RANDOM_RUNS=100 HYDRA_INDEX_RANDOM_RUNS=500"
+  [failover]="HYDRA_FAILOVER_RANDOM_RUNS=60"
+)
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --asan|--tsan)
@@ -42,24 +53,9 @@ while [[ $# -gt 0 ]]; do
       export HYDRA_INDEX_RANDOM_RUNS="${HYDRA_INDEX_RANDOM_RUNS:-60}"
       export HYDRA_FAILOVER_RANDOM_RUNS="${HYDRA_FAILOVER_RANDOM_RUNS:-8}"
       ;;
-    --txn)
-      txn_mode=1
-      label_regex="txn"
-      shift
-      ;;
-    --hotkey)
-      hotkey_mode=1
-      label_regex="hotkey"
-      shift
-      ;;
-    --scan)
-      scan_mode=1
-      label_regex="scan"
-      shift
-      ;;
-    --failover)
-      failover_mode=1
-      label_regex="failover"
+    --txn|--hotkey|--scan|--failover)
+      mode="${1#--}"
+      label_regex="$mode"
       shift
       ;;
     --labels)
@@ -72,27 +68,11 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-if [[ $txn_mode -eq 1 && "$preset" == default ]]; then
-  # Dedicated txn sweep: widen the seeded-random txn-kill-mid-commit family
-  # well past the per-PR acceptance floor of 100 runs.
-  export HYDRA_TXN_RANDOM_RUNS="${HYDRA_TXN_RANDOM_RUNS:-200}"
-fi
-if [[ $hotkey_mode -eq 1 && "$preset" == default ]]; then
-  # Dedicated hot-key sweep: widen the seeded-random promotion/invalidation
-  # chaos family well past the default 6 in-suite runs.
-  export HYDRA_HOTKEY_RANDOM_RUNS="${HYDRA_HOTKEY_RANDOM_RUNS:-60}"
-fi
-if [[ $scan_mode -eq 1 && "$preset" == default ]]; then
-  # Dedicated scan sweep: widen the scan-mid-migration chaos family past the
-  # default 25 in-suite runs, and the index model check past its 200-seed
-  # acceptance floor.
-  export HYDRA_SCAN_RANDOM_RUNS="${HYDRA_SCAN_RANDOM_RUNS:-100}"
-  export HYDRA_INDEX_RANDOM_RUNS="${HYDRA_INDEX_RANDOM_RUNS:-500}"
-fi
-if [[ $failover_mode -eq 1 && "$preset" == default ]]; then
-  # Dedicated failover-agreement sweep: widen the seeded-random kill/torn
-  # revocation/split-ballot chaos family past the default 40 in-suite runs.
-  export HYDRA_FAILOVER_RANDOM_RUNS="${HYDRA_FAILOVER_RANDOM_RUNS:-60}"
+if [[ -n "$mode" && "$preset" == default ]]; then
+  for pair in ${widen[$mode]}; do
+    var="${pair%%=*}"
+    export "$var=${!var:-${pair#*=}}"
+  done
 fi
 
 cmake --preset "$preset"
@@ -107,7 +87,7 @@ ctest --preset "$preset" -j "$(nproc)" "${ctest_args[@]}" "$@"
 # §10) at ~5k muxed clients: enough to exercise the shared-ring demux,
 # credit waits and the reaper with sanitizer instrumentation live, without
 # the cost of the full 100k sweep.
-if [[ "$preset" != default && $txn_mode -eq 0 && -z "$label_regex" ]]; then
+if [[ "$preset" != default && -z "$label_regex" ]]; then
   "build-$preset/bench/bench_fig12_scalability" \
     --clients=5000 --mux --json="build-$preset/BENCH_fig12_smoke.json"
 fi

@@ -1,63 +1,52 @@
-// Deterministic chaos sweep over the failover plane (DESIGN.md §7), plus
-// one regression test per crash-path bug the harness flushed out.
-#include <cstdlib>
+// Deterministic chaos sweep over the failover plane (DESIGN.md §7), one
+// regression test per crash-path bug the harness flushed out, the engine's
+// fault-accounting contract, and the feature-lattice sweep.
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "chaos/chaos.hpp"
+#include "chaos_util.hpp"
 #include "hydradb/hydra_cluster.hpp"
+#include "obs/plane.hpp"
 
 namespace hydra {
 namespace {
 
-using chaos::ChaosRunner;
-using chaos::ChaosSchedule;
-using chaos::RunReport;
+using chaos::Family;
+using chaos::Report;
+using chaos::Runner;
+using chaos::Schedule;
+using test::describe;
 
-std::string describe(const RunReport& r) {
-  std::string out;
-  for (const auto& v : r.violations) out += "  " + v + "\n";
-  out += "--- history ---\n" + r.history;
-  return out;
-}
-
-const ChaosSchedule& scripted_by_name(const std::string& name) {
-  static const auto all = ChaosSchedule::scripted();
-  for (const auto& s : all) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no scripted schedule named " << name;
-  return all.front();
+const Schedule& scripted_by_name(const std::string& name) {
+  return chaos::scripted(Family::kChaos, name);
 }
 
 // ---------------------------------------------------------------- the sweep
 
 // 8 scripted families x 10 seeds = 80 combos.
 TEST(ChaosSweep, ScriptedFamilies) {
-  for (const auto& schedule : ChaosSchedule::scripted()) {
+  for (const auto& schedule : chaos::scripted(Family::kChaos)) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      const RunReport r = ChaosRunner::run(schedule, seed);
+      const Report r = Runner::run(schedule, seed);
       EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
                               << describe(r);
-      EXPECT_GT(r.acked_puts, 0u) << schedule.name << " seed " << seed;
+      EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
     }
   }
 }
 
 // Seeded-random compositions of the same fault alphabet; 140 by default
-// (70 + 140 = 210 combos >= the 200 the acceptance bar asks for). The
+// (80 + 140 = 220 combos >= the 200 the acceptance bar asks for). The
 // HYDRA_CHAOS_RANDOM_RUNS environment knob scales the sweep up or down
-// (tier1.sh uses it to shorten the ASan pass).
+// (tier1.sh uses it to shorten the sanitizer passes).
 TEST(ChaosSweep, RandomFamilies) {
-  int runs = 140;
-  if (const char* env = std::getenv("HYDRA_CHAOS_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = test::env_runs("HYDRA_CHAOS_RANDOM_RUNS", 140);
   for (int i = 1; i <= runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(i);
-    const ChaosSchedule schedule = ChaosSchedule::random(seed);
-    const RunReport r = ChaosRunner::run(schedule, seed);
+    const Schedule schedule = chaos::random(Family::kChaos, seed);
+    const Report r = Runner::run(schedule, seed);
     EXPECT_TRUE(r.passed()) << schedule.name << ":\n" << describe(r);
   }
 }
@@ -65,13 +54,13 @@ TEST(ChaosSweep, RandomFamilies) {
 // Identical (schedule, seed) must reproduce the run byte-for-byte.
 TEST(ChaosDeterminism, SameSeedSameHistory) {
   const auto& scripted = scripted_by_name("primary-kill-mid-put");
-  const RunReport a = ChaosRunner::run(scripted, 7);
-  const RunReport b = ChaosRunner::run(scripted, 7);
+  const Report a = Runner::run(scripted, 7);
+  const Report b = Runner::run(scripted, 7);
   EXPECT_EQ(a.history, b.history);
 
-  const ChaosSchedule random = ChaosSchedule::random(42);
-  const RunReport c = ChaosRunner::run(random, 42);
-  const RunReport d = ChaosRunner::run(random, 42);
+  const Schedule random = chaos::random(Family::kChaos, 42);
+  const Report c = Runner::run(random, 42);
+  const Report d = Runner::run(random, 42);
   EXPECT_EQ(c.history, d.history);
   EXPECT_NE(a.history, c.history);  // different schedules diverge
 }
@@ -83,8 +72,7 @@ TEST(ChaosDeterminism, SameSeedSameHistory) {
 // reacted, the shard stayed dead forever. The pending-death set + /swat/
 // watch must hand the reaction to the next leader.
 TEST(ChaosRegression, SwatLeadershipGap) {
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("swat-leader-dead-during-failover"), 1);
+  const Report r = Runner::run(scripted_by_name("swat-leader-dead-during-failover"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
 }
@@ -93,10 +81,9 @@ TEST(ChaosRegression, SwatLeadershipGap) {
 // primary's write path forever (the waiters' min-acked barrier included the
 // dead link). Quarantine must settle every owed completion.
 TEST(ChaosRegression, StrictAckSecondaryDeathNeverWedges) {
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("secondary-kill-mid-replay"), 1);
+  const Report r = Runner::run(scripted_by_name("secondary-kill-mid-replay"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
-  EXPECT_EQ(r.wedged_ops, 0u) << describe(r);
+  EXPECT_EQ(r.wedged, 0u) << describe(r);
   // No failover here -- only a replica died; the primary must have absorbed
   // the loss by itself.
   EXPECT_EQ(r.failovers, 0u) << describe(r);
@@ -106,10 +93,11 @@ TEST(ChaosRegression, StrictAckSecondaryDeathNeverWedges) {
 // primary waited for an ack the secondary believed it had already sent).
 // The ack-deadline probe must re-solicit and recover without client help.
 TEST(ChaosRegression, TornAckRecoversWithoutTimeouts) {
-  const RunReport r = ChaosRunner::run(scripted_by_name("torn-and-dropped-ack"), 1);
+  const Report r = Runner::run(scripted_by_name("torn-and-dropped-ack"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
-  EXPECT_EQ(r.wedged_ops, 0u);
-  EXPECT_EQ(r.failovers, 0u) << describe(r);  // wire noise must not kill anyone
+  EXPECT_EQ(r.wedged, 0u);
+  EXPECT_EQ(r.wire_faults, 2u) << describe(r);  // both ack faults took effect
+  EXPECT_EQ(r.failovers, 0u) << describe(r);    // wire noise must not kill anyone
 }
 
 // Bug: heartbeat suppression past the session timeout let SWAT's promotion
@@ -117,8 +105,7 @@ TEST(ChaosRegression, TornAckRecoversWithoutTimeouts) {
 // ("primary still alive"), the death event was already consumed, and the
 // shard stayed dead after fencing. Promotion must fence and proceed.
 TEST(ChaosRegression, SuppressedHeartbeatsFenceAndPromote) {
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("heartbeat-suppression-fences"), 1);
+  const Report r = Runner::run(scripted_by_name("heartbeat-suppression-fences"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
 }
@@ -129,10 +116,9 @@ TEST(ChaosRegression, SuppressedHeartbeatsFenceAndPromote) {
 // reopens, and no acked write may be lost (the family's invariant check).
 TEST(ChaosRegression, MuxChannelKillRetransmitsWithoutLoss) {
   obs::Plane plane;
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("mux-channel-kill-mid-put"), 1, &plane);
+  const Report r = Runner::run(scripted_by_name("mux-channel-kill-mid-put"), 1, &plane);
   EXPECT_TRUE(r.passed()) << describe(r);
-  EXPECT_EQ(r.wedged_ops, 0u) << describe(r);
+  EXPECT_EQ(r.wedged, 0u) << describe(r);
   EXPECT_EQ(r.failovers, 0u) << describe(r);  // QP death != process death
   const auto q = plane.query();
   // Two kills -> at least two failure teardowns (b=1 marks failure), and the
@@ -168,6 +154,78 @@ TEST(ChaosRegression, GarbageShardZnodeIsIgnored) {
   EXPECT_EQ(cluster.failovers(), 0u);
   EXPECT_EQ(*cluster.get("k"), "v");  // cluster still healthy
 }
+
+// ------------------------------------------------------ fault accounting
+
+// Every applied fault lands in the trace plane as kFaultInjected, whichever
+// driver runs the workload.
+TEST(ChaosEngine, EveryFiredFaultIsTraced) {
+  const std::pair<Family, const char*> cases[] = {
+      {Family::kChaos, "torn-and-dropped-record"},
+      {Family::kHotKey, "hotkey-kill-primary-copies-live"},
+      {Family::kScan, "scan-add-kill-source"},
+      {Family::kTxn, "txn-kill-mid-commit-no-wait"},
+  };
+  for (const auto& [family, name] : cases) {
+    const Schedule& s = chaos::scripted(family, name);
+    obs::Plane plane;
+    const Report r = Runner::run(s, 1, &plane);
+    EXPECT_TRUE(r.passed()) << name << ":\n" << describe(r);
+    EXPECT_EQ(r.faults_fired, s.faults.size()) << name;
+    EXPECT_EQ(r.faults_skipped, 0u) << name;
+    EXPECT_EQ(plane.query().count(obs::TraceKind::kFaultInjected), r.faults_fired) << name;
+  }
+}
+
+// A fault whose target does not exist when it fires is logged as skipped
+// -- never counted, traced or reported as fired.
+TEST(ChaosEngine, AbsentTargetIsSkippedNotFired) {
+  Schedule s = scripted_by_name("primary-kill-mid-put");
+  s.faults.push_back({.kind = chaos::FaultKind::kKillPrimary, .shard = 7, .at_op = 5});
+  s.faults.push_back({.kind = chaos::FaultKind::kKillMuxChannel, .at_op = 5});  // mux off
+  obs::Plane plane;
+  const Report r = Runner::run(s, 1, &plane);
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_EQ(r.faults_fired, 1u);
+  EXPECT_EQ(r.faults_skipped, 2u);
+  EXPECT_EQ(plane.query().count(obs::TraceKind::kFaultInjected), 1u);
+  EXPECT_NE(r.history.find("fault kill-primary shard=7 idx=0 skipped"), std::string::npos);
+}
+
+// ------------------------------------------------------ the feature lattice
+
+// Every subset of {mux, ordered index, hot-key plane, txn lock arena, fast
+// failover} composed under the skewed GET/PUT driver with a primary kill
+// plus one wire fault. HYDRA_CHAOS_RANDOM_RUNS scales the seeds per
+// combination (the default 140 gives 2; never fewer than 2).
+class ChaosLattice : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ChaosLattice, PrimaryKillPlusWireFault) {
+  const int seeds = std::max(2, test::env_runs("HYDRA_CHAOS_RANDOM_RUNS", 140) / 70);
+  for (int i = 1; i <= seeds; ++i) {
+    const auto seed = static_cast<std::uint64_t>(i);
+    const Schedule s = chaos::lattice(GetParam(), seed);
+    const Report r = Runner::run(s, seed);
+    EXPECT_TRUE(r.passed()) << s.name << ":\n" << describe(r);
+    EXPECT_GT(r.acked, 0u) << s.name;
+    EXPECT_GE(r.failovers, 1u) << s.name;
+    EXPECT_EQ(r.faults_skipped, 0u) << s.name;
+  }
+}
+
+std::string feature_name(const ::testing::TestParamInfo<unsigned>& info) {
+  static constexpr const char* kNames[] = {"mux", "index", "hotkey", "txn", "fast"};
+  std::string name;
+  for (unsigned bit = 0; bit < 5; ++bit) {
+    if ((info.param & (1U << bit)) == 0) continue;
+    name += name.empty() ? "" : "_";
+    name += kNames[bit];
+  }
+  return name.empty() ? "none" : name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFeatureSubsets, ChaosLattice,
+                         ::testing::Range(0U, chaos::kFeatureAll + 1), feature_name);
 
 }  // namespace
 }  // namespace hydra

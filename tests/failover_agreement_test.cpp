@@ -5,7 +5,6 @@
 // bugfix regressions this PR ships: revoked-rkey retransmits settling strict
 // waiters, fenced-rkey pointer invalidation on fast epoch advance, and the
 // legacy/fast double-promotion guard.
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos/chaos.hpp"
-#include "chaos/failover_chaos.hpp"
+#include "chaos_util.hpp"
 #include "fabric/fabric.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "obs/plane.hpp"
@@ -24,9 +23,11 @@
 namespace hydra {
 namespace {
 
-using chaos::FailoverChaosRunner;
-using chaos::FailoverReport;
-using chaos::FailoverSchedule;
+using chaos::Family;
+using chaos::Report;
+using chaos::Runner;
+using chaos::Schedule;
+using test::describe;
 
 // ------------------------------------------------------------- rig helpers
 
@@ -83,20 +84,8 @@ db::ClusterOptions fast_options() {
   return opts;
 }
 
-std::string describe(const FailoverReport& r) {
-  std::string out;
-  for (const auto& v : r.violations) out += "  " + v + "\n";
-  out += "--- history ---\n" + r.history;
-  return out;
-}
-
-const FailoverSchedule& scripted_by_name(const std::string& name) {
-  static const auto all = FailoverSchedule::scripted();
-  for (const auto& s : all) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no scripted failover schedule named " << name;
-  return all.front();
+const Schedule& scripted_by_name(const std::string& name) {
+  return chaos::scripted(Family::kFailover, name);
 }
 
 // ------------------------------------------------ fabric revocation verbs
@@ -397,8 +386,7 @@ TEST(FastFailoverRegression, HotKeyPromoSlabDemotesOnFastEpochAdvance) {
 // virtual-time history stay byte-identical to earlier revisions.
 TEST(FastFailoverOff, NoRevocationMachineryWhenDisabled) {
   obs::Plane plane;
-  const chaos::RunReport r = chaos::ChaosRunner::run(
-      chaos::ChaosSchedule::scripted().front(), 3, &plane);
+  const Report r = Runner::run(chaos::scripted(Family::kChaos).front(), 3, &plane);
   EXPECT_TRUE(r.passed());
   const auto q = plane.query();
   EXPECT_EQ(q.count(obs::TraceKind::kSuspicionRaised), 0u);
@@ -408,14 +396,14 @@ TEST(FastFailoverOff, NoRevocationMachineryWhenDisabled) {
 
 // ------------------------------------------------------------ chaos sweep
 
-// 9 scripted families x 5 seeds.
+// 10 scripted families x 5 seeds.
 TEST(FailoverChaosSweep, ScriptedFamilies) {
-  for (const auto& schedule : FailoverSchedule::scripted()) {
+  for (const auto& schedule : chaos::scripted(Family::kFailover)) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const FailoverReport r = FailoverChaosRunner::run(schedule, seed);
+      const Report r = Runner::run(schedule, seed);
       EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
                               << describe(r);
-      EXPECT_GT(r.acked_puts, 0u) << schedule.name << " seed " << seed;
+      EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
     }
   }
 }
@@ -423,27 +411,24 @@ TEST(FailoverChaosSweep, ScriptedFamilies) {
 // Seeded-random compositions; HYDRA_FAILOVER_RANDOM_RUNS scales the sweep
 // (tier1.sh --failover raises it, the sanitizer passes lower it).
 TEST(FailoverChaosSweep, RandomFamilies) {
-  int runs = 40;
-  if (const char* env = std::getenv("HYDRA_FAILOVER_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = test::env_runs("HYDRA_FAILOVER_RANDOM_RUNS", 40);
   for (int i = 1; i <= runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(i);
-    const FailoverSchedule schedule = FailoverSchedule::random(seed);
-    const FailoverReport r = FailoverChaosRunner::run(schedule, seed);
+    const Schedule schedule = chaos::random(Family::kFailover, seed);
+    const Report r = Runner::run(schedule, seed);
     EXPECT_TRUE(r.passed()) << schedule.name << ":\n" << describe(r);
   }
 }
 
 TEST(FailoverChaosDeterminism, SameSeedSameHistory) {
   const auto& scripted = scripted_by_name("fast-kill-mid-ring-write");
-  const FailoverReport a = FailoverChaosRunner::run(scripted, 7);
-  const FailoverReport b = FailoverChaosRunner::run(scripted, 7);
+  const Report a = Runner::run(scripted, 7);
+  const Report b = Runner::run(scripted, 7);
   EXPECT_EQ(a.history, b.history);
 
-  const FailoverSchedule random = FailoverSchedule::random(17);
-  const FailoverReport c = FailoverChaosRunner::run(random, 17);
-  const FailoverReport d = FailoverChaosRunner::run(random, 17);
+  const Schedule random = chaos::random(Family::kFailover, 17);
+  const Report c = Runner::run(random, 17);
+  const Report d = Runner::run(random, 17);
   EXPECT_EQ(c.history, d.history);
   EXPECT_NE(a.history, c.history);
 }
@@ -451,8 +436,8 @@ TEST(FailoverChaosDeterminism, SameSeedSameHistory) {
 // ------------------------------------------- per-fault-point regressions
 
 TEST(FailoverChaosRegression, TornRevocationStillPromotesFast) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-torn-revocation"), 1);
+  const Report r =
+      Runner::run(scripted_by_name("fast-torn-revocation"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.fast_promotions, 1u) << describe(r);
   EXPECT_GT(r.revocations, 0u);
@@ -460,8 +445,8 @@ TEST(FailoverChaosRegression, TornRevocationStillPromotesFast) {
 }
 
 TEST(FailoverChaosRegression, DroppedRevocationRetriesAndPromotes) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-dropped-revocation"), 1);
+  const Report r =
+      Runner::run(scripted_by_name("fast-dropped-revocation"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.fast_promotions, 1u) << describe(r);
   EXPECT_LT(r.failover_gap, kMillisecond);
@@ -471,7 +456,7 @@ TEST(FailoverChaosRegression, DroppedRevocationRetriesAndPromotes) {
 // lost and the round aborts, the legacy session-timeout promotion must still
 // recover the shard -- slower, never less safe.
 TEST(FailoverChaosRegression, RevocationStormFallsBackToLegacyPromotion) {
-  const FailoverReport r = FailoverChaosRunner::run(
+  const Report r = Runner::run(
       scripted_by_name("fast-revocation-storm-falls-back"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
@@ -481,8 +466,8 @@ TEST(FailoverChaosRegression, RevocationStormFallsBackToLegacyPromotion) {
 }
 
 TEST(FailoverChaosRegression, SplitBallotsElectExactlyOnePrimary) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-split-ballots"), 1);
+  const Report r =
+      Runner::run(scripted_by_name("fast-split-ballots"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_EQ(r.failovers, 1u) << describe(r);
   // Exactly one round won its ballot and promoted; the race was real --
@@ -496,17 +481,30 @@ TEST(FailoverChaosRegression, SplitBallotsElectExactlyOnePrimary) {
 }
 
 TEST(FailoverChaosRegression, SwatKillMidRoundDoesNotBlockAgreement) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-swat-kill-mid-round"), 1);
+  const Report r =
+      Runner::run(scripted_by_name("fast-swat-kill-mid-round"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.fast_promotions, 1u) << describe(r);
 }
 
 TEST(FailoverChaosRegression, ComposedMigrationCommitsUnderFastFailover) {
-  const FailoverReport r = FailoverChaosRunner::run(
+  const Report r = Runner::run(
       scripted_by_name("fast-composed-with-migration"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
+}
+
+// Bug: the failover runner silently dropped record/ack wire faults (and
+// apply failures and mux kills) while logging them as fired. A torn ring
+// write just before the crash must now really tear -- and the agreement
+// round must still promote fast with no acked write lost.
+TEST(FailoverChaosRegression, TornRecordWriteTakesEffectUnderFastFailover) {
+  const Report r = Runner::run(scripted_by_name("fast-torn-record-write"), 1);
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_EQ(r.wire_faults, 1u) << "the torn record write never took effect:\n"
+                               << describe(r);
+  EXPECT_GE(r.fast_promotions, 1u) << describe(r);
+  EXPECT_LT(r.failover_gap, kMillisecond);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // Live shard migration (DESIGN.md §9): the chaos sweep over the elastic
 // membership plane, golden-determinism checks with the observability plane
 // attached, and one regression per stale-ownership bug the protocol closes.
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chaos/chaos.hpp"
+#include "chaos_util.hpp"
 #include "common/hash.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "obs/plane.hpp"
@@ -16,24 +16,14 @@
 namespace hydra {
 namespace {
 
-using chaos::MigrationChaosRunner;
-using chaos::MigrationReport;
-using chaos::MigrationSchedule;
+using chaos::Family;
+using chaos::Report;
+using chaos::Runner;
+using chaos::Schedule;
+using test::describe;
 
-std::string describe(const MigrationReport& r) {
-  std::string out;
-  for (const auto& v : r.violations) out += "  " + v + "\n";
-  out += "--- history ---\n" + r.history;
-  return out;
-}
-
-const MigrationSchedule& scripted_by_name(const std::string& name) {
-  static const auto all = MigrationSchedule::scripted();
-  for (const auto& s : all) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no scripted migration schedule named " << name;
-  return all.front();
+const Schedule& scripted_by_name(const std::string& name) {
+  return chaos::scripted(Family::kMigration, name);
 }
 
 db::ClusterOptions elastic_options(int shards) {
@@ -66,12 +56,12 @@ void run_until_committed(db::HydraCluster& cluster) {
 // with its exact value, no key is lost or double-owned after the final
 // epoch, and the migration commits despite the faults.
 TEST(MigrationSweep, ScriptedFamilies) {
-  for (const auto& schedule : MigrationSchedule::scripted()) {
+  for (const auto& schedule : chaos::scripted(Family::kMigration)) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const MigrationReport r = MigrationChaosRunner::run(schedule, seed);
+      const Report r = Runner::run(schedule, seed);
       EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
                               << describe(r);
-      EXPECT_GT(r.acked_puts, 0u) << schedule.name << " seed " << seed;
+      EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
       EXPECT_TRUE(r.migration_completed) << schedule.name << " seed " << seed;
       EXPECT_GT(r.keys_moved, 0u) << schedule.name << " seed " << seed;
     }
@@ -82,14 +72,11 @@ TEST(MigrationSweep, ScriptedFamilies) {
 // source-kill / destination-kill / SWAT-gap). HYDRA_MIGRATION_RANDOM_RUNS
 // scales the sweep (tier1.sh shortens the sanitizer passes).
 TEST(MigrationSweep, RandomFamilies) {
-  int runs = 20;
-  if (const char* env = std::getenv("HYDRA_MIGRATION_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = test::env_runs("HYDRA_MIGRATION_RANDOM_RUNS", 20);
   for (int i = 1; i <= runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(i);
-    const MigrationSchedule schedule = MigrationSchedule::random(seed);
-    const MigrationReport r = MigrationChaosRunner::run(schedule, seed);
+    const Schedule schedule = chaos::random(Family::kMigration, seed);
+    const Report r = Runner::run(schedule, seed);
     EXPECT_TRUE(r.passed()) << schedule.name << ":\n" << describe(r);
   }
 }
@@ -98,7 +85,7 @@ TEST(MigrationSweep, RandomFamilies) {
 // snapshot copies must be forwarded down the flow (the workload overlaps
 // the copy, so a clean add always forwards some records).
 TEST(MigrationSweep, DualOwnershipCatchUpForwards) {
-  const MigrationReport r = MigrationChaosRunner::run(scripted_by_name("add-clean"), 1);
+  const Report r = Runner::run(scripted_by_name("add-clean"), 1);
   ASSERT_TRUE(r.passed()) << describe(r);
   EXPECT_GT(r.forwarded, 0u)
       << "no dual-ownership records forwarded; the catch-up path is dead:\n"
@@ -110,13 +97,13 @@ TEST(MigrationSweep, DualOwnershipCatchUpForwards) {
 // Identical (schedule, seed) must reproduce the run byte-for-byte.
 TEST(MigrationDeterminism, SameSeedSameHistory) {
   const auto& scripted = scripted_by_name("add-kill-source");
-  const MigrationReport a = MigrationChaosRunner::run(scripted, 7);
-  const MigrationReport b = MigrationChaosRunner::run(scripted, 7);
+  const Report a = Runner::run(scripted, 7);
+  const Report b = Runner::run(scripted, 7);
   EXPECT_EQ(a.history, b.history);
 
-  const MigrationSchedule random = MigrationSchedule::random(42);
-  const MigrationReport c = MigrationChaosRunner::run(random, 42);
-  const MigrationReport d = MigrationChaosRunner::run(random, 42);
+  const Schedule random = chaos::random(Family::kMigration, 42);
+  const Report c = Runner::run(random, 42);
+  const Report d = Runner::run(random, 42);
   EXPECT_EQ(c.history, d.history);
   EXPECT_NE(a.history, c.history);  // different schedules diverge
 }
@@ -127,9 +114,9 @@ TEST(MigrationDeterminism, SameSeedSameHistory) {
 TEST(MigrationDeterminism, ObsPlaneDoesNotPerturbHistory) {
   for (const char* name : {"add-clean", "drain-kill-victim"}) {
     const auto& schedule = scripted_by_name(name);
-    const MigrationReport bare = MigrationChaosRunner::run(schedule, 5);
+    const Report bare = Runner::run(schedule, 5);
     obs::Plane plane;
-    const MigrationReport observed = MigrationChaosRunner::run(schedule, 5, &plane);
+    const Report observed = Runner::run(schedule, 5, &plane);
     EXPECT_EQ(bare.history, observed.history) << name;
     // And the plane actually saw the protocol.
     const auto q = plane.query();
@@ -243,6 +230,23 @@ TEST(MigrationRegression, PostMigrationUpdatesVisibleThroughStaleCache) {
   // holds the stale pointer: it must see "new", never the cached "old".
   ASSERT_EQ(cluster.put(key, "new"), Status::kOk);
   EXPECT_EQ(*cluster.get(key), "new");
+}
+
+// Bug: the migration runner applied only kill and heartbeat faults and
+// silently dropped every other kind while logging it as fired. A shared mux
+// QP killed mid-copy must now really die -- the trace shows the failure
+// teardown -- and the migration must still commit with no key lost.
+TEST(MigrationRegression, MuxChannelKillMidMigrationTakesEffect) {
+  obs::Plane plane;
+  const Report r = Runner::run(scripted_by_name("add-mux-channel-kill"), 1, &plane);
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_TRUE(r.migration_completed) << describe(r);
+  EXPECT_EQ(r.faults_skipped, 0u) << describe(r);
+  std::uint64_t failure_reclaims = 0;
+  for (const auto& t : plane.query().of(obs::TraceKind::kMuxChannelReclaimed)) {
+    if (t.b == 1) ++failure_reclaims;
+  }
+  EXPECT_GE(failure_reclaims, 1u) << "the mux channel kill never took effect";
 }
 
 // Keys whose owner does not change must keep their owner across an add --

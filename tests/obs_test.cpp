@@ -203,12 +203,12 @@ TEST(GoldenDeterminism, ClosedLoopHistoryIdenticalWithObsOnAndOff) {
 }
 
 TEST(GoldenDeterminism, ChaosHistoriesIdenticalWithObsOnAndOff) {
-  const auto schedules = chaos::ChaosSchedule::scripted();
+  const auto schedules = chaos::scripted(chaos::Family::kChaos);
   ASSERT_FALSE(schedules.empty());
   for (std::uint64_t seed : {7u, 21u}) {
-    const chaos::RunReport off = chaos::ChaosRunner::run(schedules[0], seed);
+    const chaos::Report off = chaos::Runner::run(schedules[0], seed);
     obs::Plane plane;
-    const chaos::RunReport on = chaos::ChaosRunner::run(schedules[0], seed, &plane);
+    const chaos::Report on = chaos::Runner::run(schedules[0], seed, &plane);
     EXPECT_EQ(off.history, on.history) << "seed " << seed;
     EXPECT_EQ(off.failovers, on.failovers);
     EXPECT_GT(plane.trace_count(), 0u);
@@ -216,28 +216,28 @@ TEST(GoldenDeterminism, ChaosHistoriesIdenticalWithObsOnAndOff) {
 }
 
 TEST(GoldenDeterminism, EnabledRunsProduceByteIdenticalSnapshotsPerSeed) {
-  const auto schedules = chaos::ChaosSchedule::scripted();
+  const auto schedules = chaos::scripted(chaos::Family::kChaos);
   ASSERT_FALSE(schedules.empty());
   for (std::uint64_t seed : {3u, 11u}) {
     obs::Plane a;
     obs::Plane b;
-    const chaos::RunReport ra = chaos::ChaosRunner::run(schedules[0], seed, &a);
-    const chaos::RunReport rb = chaos::ChaosRunner::run(schedules[0], seed, &b);
+    const chaos::Report ra = chaos::Runner::run(schedules[0], seed, &a);
+    const chaos::Report rb = chaos::Runner::run(schedules[0], seed, &b);
     ASSERT_EQ(ra.history, rb.history);
     EXPECT_EQ(a.json(0), b.json(0)) << "seed " << seed;
   }
   // Distinct seeds produce distinct traces (the snapshot is not a constant).
   obs::Plane a;
   obs::Plane b;
-  chaos::ChaosRunner::run(chaos::ChaosSchedule::random(1), 1, &a);
-  chaos::ChaosRunner::run(chaos::ChaosSchedule::random(2), 2, &b);
+  chaos::Runner::run(chaos::random(chaos::Family::kChaos, 1), 1, &a);
+  chaos::Runner::run(chaos::random(chaos::Family::kChaos, 2), 2, &b);
   EXPECT_NE(a.json(0), b.json(0));
 }
 
 TEST(GoldenDeterminism, PromotionLatencyDerivableFromChaosTraceAlone) {
   // Find the scripted primary-kill schedule and reconstruct the promotion
   // timeline purely from trace events -- what bench_chaos_recovery reports.
-  const auto schedules = chaos::ChaosSchedule::scripted();
+  const auto schedules = chaos::scripted(chaos::Family::kChaos);
   for (const auto& s : schedules) {
     bool kills_primary = false;
     for (const auto& f : s.faults) {
@@ -245,7 +245,7 @@ TEST(GoldenDeterminism, PromotionLatencyDerivableFromChaosTraceAlone) {
     }
     if (!kills_primary) continue;
     obs::Plane plane;
-    const chaos::RunReport report = chaos::ChaosRunner::run(s, 42, &plane);
+    const chaos::Report report = chaos::Runner::run(s, 42, &plane);
     ASSERT_TRUE(report.passed());
     const auto q = plane.query();
     const auto crash = q.first(obs::TraceKind::kCrashInjected);

@@ -7,24 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "chaos/scan_chaos.hpp"
+#include "chaos/chaos.hpp"
+#include "chaos_util.hpp"
 #include "hydradb/hydra_cluster.hpp"
 
 namespace hydra {
 namespace {
-
-int env_runs(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const int n = std::atoi(v);
-  return n > 0 ? n : fallback;
-}
 
 std::string skey(int i) {
   char buf[16];
@@ -165,27 +158,19 @@ TEST(ScanCluster, ServerScanCountersAdvance) {
 
 // ------------------------------------------------------- chaos: migration
 
-void expect_clean(const chaos::ScanRunReport& report, const std::string& label) {
-  EXPECT_TRUE(report.passed()) << label << " violations:\n"
-                               << [&] {
-                                    std::string all;
-                                    for (const auto& v : report.violations) {
-                                      all += "  " + v + "\n";
-                                    }
-                                    return all + "history tail:\n" +
-                                           report.history.substr(
-                                               report.history.size() > 4000
-                                                   ? report.history.size() - 4000
-                                                   : 0);
-                                  }();
-  EXPECT_GT(report.puts_acked, 0u) << label;
+using chaos::Family;
+using chaos::Runner;
+
+void expect_clean(const chaos::Report& report, const std::string& label) {
+  EXPECT_TRUE(report.passed()) << label << ":\n" << test::describe(report);
+  EXPECT_GT(report.acked, 0u) << label;
   EXPECT_GT(report.scans_acked, 0u) << label;
 }
 
 TEST(ScanChaos, ScriptedFamilies) {
-  for (const auto& schedule : chaos::ScanSchedule::scripted()) {
+  for (const auto& schedule : chaos::scripted(Family::kScan)) {
     for (const std::uint64_t seed : {11ULL, 29ULL}) {
-      const auto report = chaos::ScanChaosRunner::run(schedule, seed);
+      const auto report = Runner::run(schedule, seed);
       expect_clean(report, schedule.name + " seed=" + std::to_string(seed));
       if (HasFailure()) return;
     }
@@ -195,13 +180,8 @@ TEST(ScanChaos, ScriptedFamilies) {
 TEST(ScanChaos, TornLeafReadsAreCaught) {
   // The torn-read family must actually exercise the fallback machinery:
   // garbled pages happen AND every scan still verifies.
-  chaos::ScanSchedule schedule;
-  for (const auto& s : chaos::ScanSchedule::scripted()) {
-    if (s.name == "scan-torn-leaf-reads") schedule = s;
-  }
-  ASSERT_EQ(schedule.name, "scan-torn-leaf-reads");
-  const auto report = chaos::ScanChaosRunner::run(schedule, 7);
-  expect_clean(report, schedule.name);
+  const auto report = Runner::run(chaos::scripted(Family::kScan, "scan-torn-leaf-reads"), 7);
+  expect_clean(report, "scan-torn-leaf-reads");
   EXPECT_GT(report.torn_reads, 0u);
   EXPECT_GT(report.scan_leaf_fallbacks, 0u);
 }
@@ -209,14 +189,10 @@ TEST(ScanChaos, TornLeafReadsAreCaught) {
 TEST(ScanChaos, MigrationRestartsCursors) {
   // Crossing a live expansion must reject stale continuation tokens (epoch
   // fence) and restart cursors rather than silently mis-merging.
-  chaos::ScanSchedule schedule;
-  for (const auto& s : chaos::ScanSchedule::scripted()) {
-    if (s.name == "scan-add-shard-live") schedule = s;
-  }
-  ASSERT_EQ(schedule.name, "scan-add-shard-live");
+  const auto& schedule = chaos::scripted(Family::kScan, "scan-add-shard-live");
   std::uint64_t restarts = 0;
   for (const std::uint64_t seed : {3ULL, 5ULL, 17ULL}) {
-    const auto report = chaos::ScanChaosRunner::run(schedule, seed);
+    const auto report = Runner::run(schedule, seed);
     expect_clean(report, schedule.name + " seed=" + std::to_string(seed));
     restarts += report.scan_restarts + report.scan_token_rejects;
   }
@@ -224,25 +200,21 @@ TEST(ScanChaos, MigrationRestartsCursors) {
 }
 
 TEST(ScanChaos, SeededRandomSweep) {
-  const int runs = env_runs("HYDRA_SCAN_RANDOM_RUNS", 25);
+  const int runs = test::env_runs("HYDRA_SCAN_RANDOM_RUNS", 25);
   for (int r = 0; r < runs; ++r) {
     const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(r);
-    const auto schedule = chaos::ScanSchedule::random(seed);
-    const auto report = chaos::ScanChaosRunner::run(schedule, seed);
-    EXPECT_TRUE(report.passed()) << schedule.name << " violations:\n" << [&] {
-      std::string all;
-      for (const auto& v : report.violations) all += "  " + v + "\n";
-      return all;
-    }();
+    const auto schedule = chaos::random(Family::kScan, seed);
+    const auto report = Runner::run(schedule, seed);
+    EXPECT_TRUE(report.passed()) << schedule.name << ":\n" << test::describe(report);
     if (HasFailure()) return;
   }
 }
 
 TEST(ScanChaos, DeterministicHistory) {
   // Byte-identical history across two runs of the same (schedule, seed).
-  for (const auto& schedule : chaos::ScanSchedule::scripted()) {
-    const auto a = chaos::ScanChaosRunner::run(schedule, 21);
-    const auto b = chaos::ScanChaosRunner::run(schedule, 21);
+  for (const auto& schedule : chaos::scripted(Family::kScan)) {
+    const auto a = Runner::run(schedule, 21);
+    const auto b = Runner::run(schedule, 21);
     ASSERT_EQ(a.history, b.history) << schedule.name;
   }
 }
