@@ -40,6 +40,7 @@ struct ConnPoint {
   std::uint64_t live_qp_pairs = 0;
   std::uint64_t mux_requests = 0;
   std::uint64_t credit_waits = 0;
+  double peak_rss_mib = 0.0;  ///< process high-water mark after this point
 };
 
 /// One sweep point: `clients` simulated clients on 20 client machines
@@ -121,6 +122,7 @@ ConnPoint run_conn_point(std::uint32_t clients, bool mux) {
   for (int n = 0; n < kClientNodes; ++n) {
     if (auto* m = cluster.node_mux(n)) p.credit_waits += m->stats().credit_waits;
   }
+  p.peak_rss_mib = bench::peak_rss_mib();
   return p;
 }
 
@@ -169,14 +171,15 @@ void write_conn_json(const std::string& path, const std::vector<ConnPoint>& perq
                    "      {\"clients\": %u, \"ops\": %llu, \"failures\": %llu, "
                    "\"ops_per_sec\": %.1f, \"get_latency\": %s, "
                    "\"qp_connects\": %llu, \"live_qp_pairs\": %llu, "
-                   "\"mux_requests\": %llu, \"credit_waits\": %llu}%s\n",
+                   "\"mux_requests\": %llu, \"credit_waits\": %llu, "
+                   "\"peak_rss_mib\": %.1f}%s\n",
                    p.clients, static_cast<unsigned long long>(p.ops),
                    static_cast<unsigned long long>(p.failures), p.ops_per_sec,
                    bench::latency_json(p.lat).c_str(),
                    static_cast<unsigned long long>(p.qp_connects),
                    static_cast<unsigned long long>(p.live_qp_pairs),
                    static_cast<unsigned long long>(p.mux_requests),
-                   static_cast<unsigned long long>(p.credit_waits),
+                   static_cast<unsigned long long>(p.credit_waits), p.peak_rss_mib,
                    i + 1 < pts.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  }%s\n", trailing);
@@ -184,7 +187,9 @@ void write_conn_json(const std::string& path, const std::vector<ConnPoint>& perq
   std::fprintf(f, "{\n  \"bench\": \"fig12_conn_scale\",\n"
                   "  \"schema\": \"hydradb-obs-v1\",\n"
                   "  \"knee_definition\": \"first client count whose p99 >= 2x "
-                  "the mode's own first-point p99; 0 = no knee within sweep\",\n");
+                  "the mode's own first-point p99; 0 = no knee within sweep\",\n"
+                  "  \"peak_rss_mib\": %.1f,\n",
+               bench::peak_rss_mib());
   write_mode("per_qp", perqp, perqp_knee, ",");
   write_mode("mux", muxed, mux_knee, "");
   std::fprintf(f, "}\n");

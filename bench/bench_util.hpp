@@ -1,6 +1,8 @@
 // Shared helpers for the figure-reproduction benches.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -65,6 +67,15 @@ inline ycsb::WorkloadSpec scaled_spec(double get_fraction, Distribution dist,
   spec.record_count = records;
   spec.operations = operations;
   return spec;
+}
+
+/// The process's peak resident set so far (getrusage ru_maxrss), in MiB.
+/// A high-water mark: it never falls, so a sweep that runs its points in
+/// growing order reads each point's own peak.
+inline double peak_rss_mib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 inline const char* fmt_mops(double mops) {

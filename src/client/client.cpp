@@ -513,7 +513,7 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
   }
   std::vector<std::byte> frame(framed_size);
   proto::encode_frame(frame, payload);
-  schedule_after(cfg_.issue_cost, [this, shard, slot_idx, frame = std::move(frame)] {
+  schedule_after(cfg_.issue_cost, [this, shard, slot_idx, frame = std::move(frame)]() mutable {
     auto cit = conns_.find(shard);
     if (cit == conns_.end() || slot_idx >= cit->second->slots.size()) return;
     Conn& c = *cit->second;
@@ -522,7 +522,7 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
         c.wire.req_slot.rkey,
         c.wire.req_slot.offset +
             proto::ring_slot_offset(slot_idx, c.wire.req_slot_bytes)};
-    c.wire.qp->post_write(frame, dst);
+    c.wire.qp->post_write(std::move(frame), dst);
     c.slots[slot_idx].timeout =
         schedule_after(cfg_.request_timeout, [this, shard] { on_timeout(shard); });
   });
@@ -540,8 +540,8 @@ void Client::post_mux_slot(ShardId shard, std::uint32_t slot_idx,
   NodeMux* mux = conn.wire.mux_node;
   mux->acquire(
       shard, conn.wire.mux_generation,
-      guard([this, mux, shard, slot_idx, frame = std::move(frame)](NodeMux::Channel* ch,
-                                                                   std::uint32_t ring_slot) {
+      guard([this, mux, shard, slot_idx, frame = std::move(frame)](
+                NodeMux::Channel* ch, std::uint32_t ring_slot) mutable {
         auto cit = conns_.find(shard);
         if (cit == conns_.end() || slot_idx >= cit->second->slots.size() ||
             !cit->second->slots[slot_idx].busy) {
@@ -566,7 +566,7 @@ void Client::post_mux_slot(ShardId shard, std::uint32_t slot_idx,
             c.wire.req_slot.rkey,
             c.wire.req_slot.offset +
                 proto::ring_slot_offset(ring_slot, c.wire.req_slot_bytes)};
-        ch->wire.qp->post_write(frame, dst);
+        ch->wire.qp->post_write(std::move(frame), dst);
         slot.timeout =
             schedule_after(cfg_.request_timeout, [this, shard] { on_timeout(shard); });
       }));

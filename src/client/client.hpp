@@ -23,6 +23,7 @@
 
 #include "client/node_mux.hpp"
 #include "common/histogram.hpp"
+#include "common/zero_pages.hpp"
 #include "core/lockfree_cache.hpp"
 #include "fabric/fabric.hpp"
 #include "proto/frame.hpp"
@@ -334,7 +335,7 @@ class Client : public sim::Actor {
   /// Last epoch the cache-wide stale sweep ran under (see get()).
   std::uint64_t last_swept_epoch_ = 0;
 
-  std::vector<std::byte> resp_region_;
+  ZeroPages resp_region_;
   fabric::MemoryRegion* resp_mr_;
   std::vector<std::uint32_t> free_blocks_;
   std::map<ShardId, std::unique_ptr<Conn>> conns_;

@@ -12,8 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
+#include "common/zero_pages.hpp"
 #include "core/item.hpp"
 
 namespace hydra::core {
@@ -54,7 +54,7 @@ class Arena {
   static std::size_t class_size(int cls) noexcept { return kMinClass << cls; }
 
  private:
-  std::vector<std::byte> memory_;
+  ZeroPages memory_;  ///< zero-on-demand: only written pages are resident
   std::size_t bump_ = 0;
   std::size_t in_use_ = 0;
   std::uint64_t allocations_ = 0;

@@ -10,13 +10,11 @@ MemoryRegion* Node::register_memory(std::span<std::byte> bytes) {
 }
 
 MemoryRegion* Node::find_region(std::uint32_t rkey) noexcept {
-  // Linear scan: nodes register a handful of large regions (arena, message
-  // buffers, replication ring), so this is not on any hot path that matters
-  // and keeps rkeys dense and debuggable.
-  for (const auto& mr : regions_) {
-    if (mr->rkey() == rkey) return mr.get();
-  }
-  return nullptr;
+  // Every RDMA op resolves its rkey here. rkeys are dense per node (1, 2,
+  // ...) and regions_ never shrinks -- revoked regions stay mapped -- so
+  // region `rkey` lives at index rkey - 1.
+  if (rkey == 0 || rkey > regions_.size()) return nullptr;
+  return regions_[rkey - 1].get();
 }
 
 Node& Fabric::add_node(std::string name) {

@@ -43,8 +43,8 @@ class Node {
   [[nodiscard]] Nic& nic() noexcept { return nic_; }
   [[nodiscard]] const Nic& nic() const noexcept { return nic_; }
 
-  /// Registers caller-owned bytes for remote access; the region handle
-  /// stays valid for the node's lifetime.
+  /// Registers caller-owned bytes for remote access under the next rkey
+  /// (1, 2, ...); the region handle stays valid for the node's lifetime.
   MemoryRegion* register_memory(std::span<std::byte> bytes);
   [[nodiscard]] MemoryRegion* find_region(std::uint32_t rkey) noexcept;
 
@@ -55,6 +55,8 @@ class Node {
   bool alive_ = true;
   Nic nic_;
   std::uint32_t next_rkey_ = 1;
+  /// Indexed by rkey - 1; never shrinks, so stale rkeys keep resolving to
+  /// their (revoked) regions.
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
 };
 

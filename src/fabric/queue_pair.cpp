@@ -17,10 +17,10 @@ Duration scaled(Duration base, double penalty) noexcept {
 
 }  // namespace
 
-void QueuePair::post_write(std::span<const std::byte> src, RemoteAddr dst,
+void QueuePair::post_write(std::vector<std::byte> data, RemoteAddr dst,
                            std::uint64_t wr_id, CompletionFn on_done, bool batched) {
   if (!open_) {
-    flush_completion(WcOp::kWrite, wr_id, static_cast<std::uint32_t>(src.size()),
+    flush_completion(WcOp::kWrite, wr_id, static_cast<std::uint32_t>(data.size()),
                      std::move(on_done));
     return;
   }
@@ -29,8 +29,8 @@ void QueuePair::post_write(std::span<const std::byte> src, RemoteAddr dst,
   const CostModel& cm = f.cost_;
   ++f.stats_.rdma_writes;
 
-  // Snapshot the source: as-if the NIC DMA-read the buffer at post time.
-  std::vector<std::byte> data(src.begin(), src.end());
+  // `data` is the post-time snapshot, as if the NIC DMA-read the buffer
+  // immediately; it rides the commit event below without another copy.
   const auto size = static_cast<std::uint32_t>(data.size());
 
   if (f.obs_) {

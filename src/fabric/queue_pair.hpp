@@ -81,13 +81,15 @@ class QueuePair {
   /// so a recycled QP slot can never deliver a stale op's bytes.
   [[nodiscard]] std::uint32_t generation() const noexcept { return generation_; }
 
-  /// One-sided write of `src` into the peer's (rkey, offset). `on_done` is
+  /// One-sided write of `data` into the peer's (rkey, offset). The payload is
+  /// taken by value: callers that drop their frame after posting move it in,
+  /// callers that keep their bytes pass a copy. `on_done` is
   /// optional (pass nullptr for unsignalled writes, the common case for
   /// message passing where the response buffer is the acknowledgement).
   /// `batched` marks a WQE posted in the same doorbell batch as the
   /// initiator's previous post: it pays the reduced per-WQE overhead of the
   /// cost model's doorbell-batching discount.
-  void post_write(std::span<const std::byte> src, RemoteAddr dst,
+  void post_write(std::vector<std::byte> data, RemoteAddr dst,
                   std::uint64_t wr_id = 0, CompletionFn on_done = nullptr,
                   bool batched = false);
 

@@ -193,10 +193,10 @@ bool ReplicationPrimary::write_control_frame(Link& link, std::uint16_t flags) {
 void ReplicationPrimary::post_frame(Link& link, std::vector<std::byte> frame,
                                     std::uint64_t at, std::uint64_t seq,
                                     std::function<void()> settle, int attempt) {
-  // The completion owns the frame bytes so a torn or dropped delivery can be
-  // retransmitted to the *same* offset: the consumer never advances past an
+  // The completion keeps the frame, and the write posts a copy, so a torn or
+  // dropped delivery can be retransmitted to the *same* offset: the consumer never advances past an
   // incomplete frame, so rewriting in place is race-free (RC retransmit).
-  auto span = std::span<const std::byte>(frame);
+  std::vector<std::byte> payload = frame;
   auto handler = owner_.guard(
       [this, lp = &link, frame = std::move(frame), at, seq, settle = std::move(settle),
        attempt](const fabric::Completion& wc) mutable {
@@ -208,7 +208,7 @@ void ReplicationPrimary::post_frame(Link& link, std::vector<std::byte> frame,
         on_write_error(*lp, std::move(frame), at, seq, std::move(settle), attempt,
                        wc.status);
       });
-  link.qp->post_write(span, fabric::RemoteAddr{link.ring_rkey, at}, seq,
+  link.qp->post_write(std::move(payload), fabric::RemoteAddr{link.ring_rkey, at}, seq,
                       [handler = std::move(handler)](const fabric::Completion& wc) mutable {
                         handler(wc);
                       });
@@ -456,7 +456,7 @@ void ReplicationPrimary::on_pulse_timer() {
     any_pulsed = true;
     Link* raw = link.get();
     raw->qp->post_write(
-        std::span<const std::byte>(pulse_buf_),
+        pulse_buf_,
         fabric::RemoteAddr{raw->arena_rkey, SecondaryShard::kPulseOffset}, 0,
         owner_.guard([this, raw](const fabric::Completion& wc) {
           if (raw->dead) return;

@@ -29,7 +29,7 @@ void SecondaryShard::attach_primary(fabric::QueuePair* qp_to_primary,
 fabric::MemoryRegion* SecondaryShard::promo_slab(std::uint32_t slot_bytes,
                                                  std::uint32_t slots) {
   if (promo_mr_ == nullptr) {
-    promo_.assign(static_cast<std::size_t>(slot_bytes) * slots, std::byte{0});
+    promo_ = ZeroPages(static_cast<std::size_t>(slot_bytes) * slots);
     promo_mr_ = fabric_.node(node_).register_memory(promo_);
   }
   return promo_mr_;
@@ -112,8 +112,8 @@ void SecondaryShard::reset_stream() {
   // Promoted copies belong to the old primary's promotion set; zero the
   // slab so a stale client pointer can never validate against them (the
   // guardian word is gone along with everything else).
-  std::fill(promo_.begin(), promo_.end(), std::byte{0});
-  std::fill(ring_.begin(), ring_.end(), std::byte{0});
+  promo_.zero();
+  ring_.zero();
   cursor_ = RingCursor{cfg_.ring_bytes, 0};
   applied_seq_ = 0;
   first_failed_seq_ = 0;
@@ -233,7 +233,7 @@ void SecondaryShard::send_ack() {
   const auto payload = proto::encode_rep_ack(ack);
   std::vector<std::byte> framed(proto::frame_size(payload.size()));
   proto::encode_frame(framed, payload);
-  qp_to_primary_->post_write(framed, ack_slot_);
+  qp_to_primary_->post_write(std::move(framed), ack_slot_);
 }
 
 }  // namespace hydra::replication

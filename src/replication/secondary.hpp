@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/zero_pages.hpp"
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
 #include "proto/messages.hpp"
@@ -112,10 +113,10 @@ class SecondaryShard : public sim::Actor {
   NodeId node_;
   SecondaryConfig cfg_;
   std::unique_ptr<core::KVStore> store_;
-  std::vector<std::byte> ring_;
+  ZeroPages ring_;
   fabric::MemoryRegion* ring_mr_;
   /// Hot-key promo slab; empty/null until promo_slab() is first called.
-  std::vector<std::byte> promo_;
+  ZeroPages promo_;
   fabric::MemoryRegion* promo_mr_ = nullptr;
   /// Fast-failover arena; empty/null until failover_arena() is first called.
   std::vector<std::byte> arena_;

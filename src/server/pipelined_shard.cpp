@@ -183,7 +183,7 @@ void PipelinedShard::send_response(const proto::Response& resp, std::uint32_t co
   if (framed > conn.resp_bytes) return;
   std::vector<std::byte> frame(framed);
   proto::encode_frame(frame, payload);
-  conn.qp->post_write(frame, conn.resp_addr);
+  conn.qp->post_write(std::move(frame), conn.resp_addr);
   ++stats_.responses;
 }
 

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/zero_pages.hpp"
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
 #include "proto/frame.hpp"
@@ -69,7 +70,7 @@ class PipelinedShard : public sim::Actor {
   ShardConfig cfg_;
   std::unique_ptr<core::KVStore> store_;
   fabric::MemoryRegion* arena_mr_;
-  std::vector<std::byte> msg_region_;
+  ZeroPages msg_region_;
   fabric::MemoryRegion* msg_mr_;
 
   std::vector<Connection> conns_;

@@ -34,7 +34,7 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
     // the seed's registrations, keeping rkey assignment (and therefore
     // chaos histories) byte-identical. Words start zero = unlocked, which
     // also means a promoted primary's arena never inherits a held lock.
-    lock_region_.resize(static_cast<std::size_t>(cfg_.txn_lock_words) * 8);
+    lock_region_ = ZeroPages(static_cast<std::size_t>(cfg_.txn_lock_words) * 8);
     lock_mr_ = fabric_.node(node_).register_memory(lock_region_);
   }
   if (cfg_.hotkey_top_k > 0) {
@@ -51,8 +51,8 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
     // index so index-off runs perform exactly the seed's registrations --
     // rkey assignment and event histories stay byte-identical (same
     // contract as txn_lock_words above).
-    leaf_region_.resize(static_cast<std::size_t>(cfg_.scan_mirror_pages) *
-                        cfg_.scan_mirror_page_bytes);
+    leaf_region_ = ZeroPages(static_cast<std::size_t>(cfg_.scan_mirror_pages) *
+                             cfg_.scan_mirror_page_bytes);
     leaf_mr_ = fabric_.node(node_).register_memory(leaf_region_);
     mirror_slots_.resize(cfg_.scan_mirror_pages);
   }
@@ -150,7 +150,7 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
     Connection& c = conns_[idx];
     c.qp = qp;
     c.closed = false;
-    std::fill(c.ring->begin(), c.ring->end(), std::byte{0});
+    c.ring.zero();
     dirty_.reactivate(idx);
   } else {
     idx = static_cast<std::uint32_t>(conns_.size());
@@ -158,14 +158,13 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
     conn.qp = qp;
     conn.mux = true;
     conn.ring_slots = std::max<std::uint32_t>(1, cfg_.mux_ring_slots);
-    conn.ring = std::make_unique<std::vector<std::byte>>(
-        static_cast<std::size_t>(conn.ring_slots) * cfg_.msg_slot_bytes);
+    conn.ring = ZeroPages(static_cast<std::size_t>(conn.ring_slots) * cfg_.msg_slot_bytes);
     conns_.push_back(std::move(conn));
     dirty_.add_endpoint();
   }
   ++live_mux_groups_;
   Connection& c = conns_[idx];
-  c.ring_mr = fabric_.node(node_).register_memory(*c.ring);
+  c.ring_mr = fabric_.node(node_).register_memory(c.ring);
   c.ring_mr->set_write_hook(guard([this, idx](std::uint64_t, std::uint32_t) {
     if (dirty_.mark(idx)) wake();
   }));
@@ -971,14 +970,14 @@ void Shard::send_response(const proto::Response& resp, std::uint32_t conn_idx,
     const auto err_payload = proto::encode_response(err);
     std::vector<std::byte> frame(proto::frame_size(err_payload.size()));
     proto::encode_frame(frame, err_payload);
-    conn.qp->post_write(frame, dst, 0, nullptr, batched);
+    conn.qp->post_write(std::move(frame), dst, 0, nullptr, batched);
     ++stats_.responses;
     if (batched) ++stats_.batched_responses;
     return;
   }
   std::vector<std::byte> frame(framed);
   proto::encode_frame(frame, payload);
-  conn.qp->post_write(frame, dst, 0, nullptr, batched);
+  conn.qp->post_write(std::move(frame), dst, 0, nullptr, batched);
   ++stats_.responses;
   if (batched) ++stats_.batched_responses;
 }

@@ -20,6 +20,7 @@
 #include <map>
 #include <string>
 
+#include "common/zero_pages.hpp"
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
 #include "proto/frame.hpp"
@@ -224,7 +225,7 @@ class Shard : public sim::Actor {
     bool mux = false;
     bool closed = false;
     std::uint32_t ring_slots = 0;
-    std::unique_ptr<std::vector<std::byte>> ring;  ///< heap: stable across conns_ growth
+    ZeroPages ring;  ///< mapped bytes: stable across conns_ growth
     fabric::MemoryRegion* ring_mr = nullptr;
   };
 
@@ -261,7 +262,7 @@ class Shard : public sim::Actor {
   }
   [[nodiscard]] std::span<std::byte> mux_slot_span(Connection& conn,
                                                    std::uint32_t slot) noexcept {
-    return {conn.ring->data() + proto::ring_slot_offset(slot, cfg_.msg_slot_bytes),
+    return {conn.ring.data() + proto::ring_slot_offset(slot, cfg_.msg_slot_bytes),
             cfg_.msg_slot_bytes};
   }
 
@@ -353,12 +354,12 @@ class Shard : public sim::Actor {
   std::unique_ptr<core::KVStore> store_;
   fabric::MemoryRegion* arena_mr_;
 
-  std::vector<std::byte> msg_region_;
+  ZeroPages msg_region_;
   fabric::MemoryRegion* msg_mr_;
 
   /// 2PL lock words clients CAS one-sidedly; registered only when
   /// cfg_.txn_lock_words > 0 so txn-off runs keep the seed's rkey sequence.
-  std::vector<std::byte> lock_region_;
+  ZeroPages lock_region_;
   fabric::MemoryRegion* lock_mr_ = nullptr;
   EpochFn epoch_source_;
 
@@ -372,7 +373,7 @@ class Shard : public sim::Actor {
     std::uint64_t epoch = 0;
     bool used = false;
   };
-  std::vector<std::byte> leaf_region_;
+  ZeroPages leaf_region_;
   fabric::MemoryRegion* leaf_mr_ = nullptr;
   std::vector<MirrorSlot> mirror_slots_;
   std::map<std::uint64_t, std::uint32_t> mirror_slot_of_;  ///< leaf id -> slot

@@ -1,6 +1,8 @@
-// Unit tests for hydra_common: hashing, RNG, key generators, histogram, ring.
+// Unit tests for hydra_common: hashing, RNG, key generators, histogram, ring,
+// zero-on-demand pages.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
@@ -16,6 +18,10 @@
 #include "common/rng.hpp"
 #include "common/spsc_ring.hpp"
 #include "common/types.hpp"
+#include "common/zero_pages.hpp"
+#include "rss_util.hpp"
+
+#include <sanitizer/asan_interface.h>
 
 namespace hydra {
 namespace {
@@ -564,6 +570,71 @@ TEST(Result, CarriesValueOrStatus) {
   Result<int> err(Status::kNotFound);
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status(), Status::kNotFound);
+}
+
+// ---------------------------------------------------------------- zero pages
+
+bool all_zero(const ZeroPages& buf) {
+  return std::all_of(buf.begin(), buf.end(), [](std::byte b) { return b == std::byte{0}; });
+}
+
+TEST(ZeroPages, ReservingAGibibyteCommitsAlmostNothing) {
+  constexpr std::size_t kGiB = std::size_t{1} << 30;
+  const std::int64_t before = test::vm_rss_bytes();
+  ASSERT_GT(before, 0);
+  ZeroPages buf(kGiB);
+  ASSERT_EQ(buf.size(), kGiB);
+  buf.data()[0] = std::byte{1};  // touching one page commits one page
+  buf.data()[kGiB - 1] = std::byte{1};
+  EXPECT_LT(test::vm_rss_bytes() - before, std::int64_t{8} << 20);
+}
+
+TEST(ZeroPages, EveryByteReadsZero) {
+  const ZeroPages buf((std::size_t{4} << 20) + 3);  // not a page multiple
+  EXPECT_EQ(buf.size(), (std::size_t{4} << 20) + 3);
+  EXPECT_TRUE(all_zero(buf));
+  EXPECT_TRUE(all_zero(ZeroPages(1)));
+  EXPECT_TRUE(ZeroPages(0).empty());
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan still catches overflows although the bytes are not heap-allocated:
+  // the tail past size() is poisoned, the last real byte is not.
+  EXPECT_TRUE(__asan_address_is_poisoned(buf.end()));
+  EXPECT_FALSE(__asan_address_is_poisoned(buf.end() - 1));
+#endif
+}
+
+TEST(ZeroPages, ZeroRestoresZerosAndReturnsPages) {
+  constexpr std::size_t kBytes = std::size_t{32} << 20;
+  ZeroPages buf(kBytes);
+  const std::int64_t clean = test::vm_rss_bytes();
+  std::memset(buf.data(), 0xAB, kBytes);
+  const std::int64_t dirty = test::vm_rss_bytes();
+  EXPECT_GE(dirty - clean, static_cast<std::int64_t>(kBytes / 2));
+  buf.zero();
+  EXPECT_LE(test::vm_rss_bytes(), dirty - static_cast<std::int64_t>(kBytes / 2));
+  EXPECT_TRUE(all_zero(buf));
+  buf.data()[5] = std::byte{7};  // still writable after zero()
+  EXPECT_EQ(buf.data()[5], std::byte{7});
+}
+
+TEST(ZeroPages, MoveLeavesSourceEmpty) {
+  ZeroPages a(3 * 4096 + 5);
+  a.data()[7] = std::byte{9};
+  std::byte* const bytes = a.data();
+  ZeroPages b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b.data(), bytes);  // the mapping moves, its address does not
+  EXPECT_EQ(b.size(), 3u * 4096 + 5);
+  EXPECT_EQ(b.data()[7], std::byte{9});
+
+  ZeroPages c(64);
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(c.data(), bytes);
+  const std::span<std::byte> view = c;  // registers as a plain span
+  EXPECT_EQ(view.data(), bytes);
+  EXPECT_EQ(view.size(), 3u * 4096 + 5);
 }
 
 }  // namespace

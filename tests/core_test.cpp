@@ -1,5 +1,6 @@
 // Unit + property tests for the storage engine: item layout, arena,
 // compact hash table, KV store (guardian/lease semantics), lock-free cache.
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/item.hpp"
 #include "core/lockfree_cache.hpp"
 #include "core/store.hpp"
+#include "rss_util.hpp"
 
 namespace hydra::core {
 namespace {
@@ -99,6 +101,24 @@ TEST(Arena, AllocationsAre64ByteAligned) {
     ASSERT_NE(off, kNullOffset);
     EXPECT_EQ(off % 64, 0u) << "size " << size;
   }
+}
+
+TEST(Arena, ResidentMemoryTracksBytesTouchedNotCapacity) {
+  const std::int64_t before = test::vm_rss_bytes();
+  ASSERT_GT(before, 0);
+  Arena arena(std::size_t{1} << 30);
+  std::int64_t touched = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::size_t size = 16 + static_cast<std::size_t>(i % 100);
+    const std::uint64_t off = arena.allocate(size);
+    ASSERT_NE(off, kNullOffset);
+    std::memset(arena.at(off), 0x5A, size);
+    touched += static_cast<std::int64_t>(size);
+  }
+  EXPECT_EQ(arena.capacity(), std::size_t{1} << 30);
+  // The slack covers page rounding and, under TSan, the ~4x shadow memory
+  // it keeps for every byte written; a zero-filled arena would add 1 GiB.
+  EXPECT_LT(test::vm_rss_bytes() - before, touched + (std::int64_t{8} << 20));
 }
 
 TEST(Arena, FreedBlocksAreReused) {

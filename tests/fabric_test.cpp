@@ -14,8 +14,9 @@
 namespace hydra::fabric {
 namespace {
 
-std::span<const std::byte> bytes_of(const std::string& s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
+std::vector<std::byte> bytes_of(const std::string& s) {
+  const auto* p = reinterpret_cast<const std::byte*>(s.data());
+  return {p, p + s.size()};
 }
 
 std::string string_of(std::span<const std::byte> b) {
@@ -56,6 +57,42 @@ TEST_F(FabricTest, RegionsHaveUniqueRkeysAndBounds) {
   EXPECT_TRUE(a.mr->contains(4096, 0));
   EXPECT_FALSE(a.mr->contains(4090, 7));
   EXPECT_FALSE(a.mr->contains(5000, 1));
+}
+
+TEST_F(FabricTest, FindRegionIndexesDenseRkeysAndKeepsRevokedOnes) {
+  auto a = make_endpoint("a");
+  std::vector<std::byte> more(128);
+  MemoryRegion* mr2 = a.node->register_memory(more);
+  ASSERT_EQ(a.mr->rkey(), 1u);
+  ASSERT_EQ(mr2->rkey(), 2u);
+  EXPECT_EQ(a.node->find_region(0), nullptr);  // rkey 0 is never issued
+  EXPECT_EQ(a.node->find_region(3), nullptr);  // one past the last rkey
+  EXPECT_EQ(a.node->find_region(0xffffffffu), nullptr);
+
+  MemoryRegion* fresh = fabric.reregister_mr(a.node->id(), a.mr);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->rkey(), 3u);
+  EXPECT_EQ(a.node->find_region(3), fresh);
+  EXPECT_FALSE(fresh->revoked());
+  EXPECT_EQ(fresh->base(), a.mr->base());
+  // The old rkey still resolves -- to its revoked region, so in-flight ops
+  // addressing it fail cleanly instead of landing in the re-registered bytes.
+  EXPECT_EQ(a.node->find_region(1), a.mr);
+  EXPECT_TRUE(a.node->find_region(1)->revoked());
+
+  auto b = make_endpoint("b");
+  auto [qb, qa] = fabric.connect(b.node->id(), a.node->id());
+  (void)qa;
+  WcStatus old_status = WcStatus::kSuccess;
+  WcStatus new_status = WcStatus::kProtectionError;
+  qb->post_write(bytes_of("stale"), a.mr->addr(0), 0,
+                 [&](const Completion& wc) { old_status = wc.status; });
+  qb->post_write(bytes_of("fresh"), fresh->addr(0), 0,
+                 [&](const Completion& wc) { new_status = wc.status; });
+  sched.run();
+  EXPECT_EQ(old_status, WcStatus::kProtectionError);
+  EXPECT_EQ(new_status, WcStatus::kSuccess);
+  EXPECT_EQ(std::memcmp(a.memory.data(), "fresh", 5), 0);
 }
 
 // ------------------------------------------------------------ RDMA write
@@ -201,9 +238,9 @@ TEST_F(FabricTest, SourceBufferSnapshotAtPostTime) {
   auto b = make_endpoint("b");
   auto [qa, qb] = fabric.connect(a.node->id(), b.node->id());
   (void)qb;
-  std::string msg = "original";
-  qa->post_write(bytes_of(msg), b.mr->addr(0));
-  msg = "clobberd";  // modified after post: must not affect delivery
+  std::vector<std::byte> frame = bytes_of("original");
+  qa->post_write(frame, b.mr->addr(0));  // the caller keeps its buffer
+  frame = bytes_of("clobberd");          // modified after post: must not affect delivery
   sched.run();
   EXPECT_EQ(std::memcmp(b.memory.data(), "original", 8), 0);
 }
