@@ -86,53 +86,31 @@ void Client::get(std::string key, GetCallback cb) {
 }
 
 void Client::put(std::string key, std::string value, OpCallback cb) {
-  PendingOp op;
-  op.req.type = proto::MsgType::kPut;
-  op.req.client = cfg_.id;
-  op.req.key = std::move(key);
-  op.req.value = std::move(value);
-  op.op_cb = std::move(cb);
-  op.issued = now();
-  submit(std::move(op));
+  submit_op(proto::MsgType::kPut, std::move(key), std::move(value), std::move(cb));
 }
 
 void Client::insert(std::string key, std::string value, OpCallback cb) {
-  PendingOp op;
-  op.req.type = proto::MsgType::kInsert;
-  op.req.client = cfg_.id;
-  op.req.key = std::move(key);
-  op.req.value = std::move(value);
-  op.op_cb = std::move(cb);
-  op.issued = now();
-  submit(std::move(op));
+  submit_op(proto::MsgType::kInsert, std::move(key), std::move(value), std::move(cb));
 }
 
 void Client::update(std::string key, std::string value, OpCallback cb) {
-  PendingOp op;
-  op.req.type = proto::MsgType::kUpdate;
-  op.req.client = cfg_.id;
-  op.req.key = std::move(key);
-  op.req.value = std::move(value);
-  op.op_cb = std::move(cb);
-  op.issued = now();
-  submit(std::move(op));
+  submit_op(proto::MsgType::kUpdate, std::move(key), std::move(value), std::move(cb));
 }
 
 void Client::remove(std::string key, OpCallback cb) {
-  PendingOp op;
-  op.req.type = proto::MsgType::kRemove;
-  op.req.client = cfg_.id;
-  op.req.key = std::move(key);
-  op.op_cb = std::move(cb);
-  op.issued = now();
-  submit(std::move(op));
+  submit_op(proto::MsgType::kRemove, std::move(key), {}, std::move(cb));
 }
 
 void Client::renew_lease(std::string key, OpCallback cb) {
+  submit_op(proto::MsgType::kRenewLease, std::move(key), {}, std::move(cb));
+}
+
+void Client::submit_op(proto::MsgType type, std::string key, std::string value, OpCallback cb) {
   PendingOp op;
-  op.req.type = proto::MsgType::kRenewLease;
+  op.req.type = type;
   op.req.client = cfg_.id;
   op.req.key = std::move(key);
+  op.req.value = std::move(value);
   op.op_cb = std::move(cb);
   op.issued = now();
   submit(std::move(op));
@@ -165,21 +143,23 @@ void Client::leaf_read(NodeId node, fabric::RemoteAddr addr, std::uint32_t len,
     if (cb) cb(Status::kDisconnected, {});
     return;
   }
-  auto buf = std::make_shared<std::vector<std::byte>>(len);
-  auto cb_holder = std::make_shared<LeafReadCallback>(std::move(cb));
+  // The buffer moves into the completion; its data pointer survives the
+  // move, so the span handed to post_read stays valid.
+  std::vector<std::byte> buf(len);
+  const std::span<std::byte> dst(buf);
   wire.qp->post_read(
-      *buf, addr, next_req_id_++,
-      guard([this, buf, cb_holder, release = std::move(wire.release)](
-                const fabric::Completion& wc) {
-        // Release the channel pin first, exactly like try_replica_read: the
-        // idle reaper must not stay blocked if the scan path errors out.
+      dst, addr, next_req_id_++,
+      guard([this, buf = std::move(buf), cb = std::move(cb),
+             release = std::move(wire.release)](const fabric::Completion& wc) mutable {
+        // Release the channel pin first, exactly like read_item: the idle
+        // reaper must not stay blocked if the scan path errors out.
         if (release) release();
         if (wc.status != fabric::WcStatus::kSuccess) {
-          (*cb_holder)(Status::kDisconnected, {});
+          cb(Status::kDisconnected, {});
           return;
         }
-        schedule_after(cfg_.decode_cost, [buf, cb_holder] {
-          (*cb_holder)(Status::kOk, std::move(*buf));
+        schedule_after(cfg_.decode_cost, [buf = std::move(buf), cb = std::move(cb)]() mutable {
+          cb(Status::kOk, std::move(buf));
         });
       }));
 }
@@ -213,14 +193,8 @@ Client::TxnWire Client::txn_wire(ShardId shard) {
 void Client::invalidate_connection(ShardId shard) { salvage_connection(shard); }
 
 void Client::txn_commit(std::string routing_key, std::string payload, OpCallback cb) {
-  PendingOp op;
-  op.req.type = proto::MsgType::kTxnCommit;
-  op.req.client = cfg_.id;
-  op.req.key = std::move(routing_key);
-  op.req.value = std::move(payload);
-  op.op_cb = std::move(cb);
-  op.issued = now();
-  submit(std::move(op));
+  submit_op(proto::MsgType::kTxnCommit, std::move(routing_key), std::move(payload),
+            std::move(cb));
 }
 
 // ---------------------------------------------------------------- RDMA read
@@ -242,40 +216,8 @@ void Client::try_rdma_read(std::uint64_t key_hash, const proto::RemotePtr& ptr,
     submit(std::move(op));
     return;
   }
-  // The read buffer lives in the completion closure; items are fetched
-  // whole (header + key + value + guardian) and validated locally.
-  auto buf = std::make_shared<std::vector<std::byte>>(ptr.total_len);
-  auto op_holder = std::make_shared<PendingOp>(std::move(op));
-  conn->wire.qp->post_read(
-      *buf, fabric::RemoteAddr{ptr.rkey, ptr.offset}, next_req_id_++,
-      guard([this, buf, op_holder, key_hash, ptr](const fabric::Completion& wc) {
-        if (wc.status != fabric::WcStatus::kSuccess) {
-          // Shard unreachable: treat like a miss; the message path will
-          // retry/re-route through the failover machinery.
-          cache_->erase(key_hash);
-          ++stats_.ptr_misses;
-          submit(std::move(*op_holder));
-          return;
-        }
-        schedule_after(cfg_.decode_cost, [this, buf, op_holder, key_hash, ptr] {
-          const core::ItemValidity validity =
-              core::validate_item(buf->data(), buf->size(), op_holder->req.key);
-          if (validity == core::ItemValidity::kValid) {
-            ++stats_.ptr_hits;
-            ++stats_.gets;
-            core::ItemView item(buf->data());
-            stats_.get_latency.record(now() - op_holder->issued);
-            maybe_auto_renew(op_holder->req.key, ptr);
-            if (op_holder->get_cb) op_holder->get_cb(Status::kOk, item.value());
-            return;
-          }
-          // Outdated or reclaimed: invalidate and fall back to a GET
-          // message to fetch the latest version (paper section 4.2.3).
-          ++stats_.invalid_hits;
-          cache_->erase(key_hash);
-          submit(std::move(*op_holder));
-        });
-      }));
+  read_item(conn->wire.qp, fabric::RemoteAddr{ptr.rkey, ptr.offset}, ptr.total_len, key_hash,
+            ptr, std::move(op), nullptr);
 }
 
 void Client::try_replica_read(std::uint64_t key_hash, const CachedPtr& entry,
@@ -289,47 +231,60 @@ void Client::try_replica_read(std::uint64_t key_hash, const CachedPtr& entry,
     try_rdma_read(key_hash, entry.primary, std::move(op));
     return;
   }
-  auto buf = std::make_shared<std::vector<std::byte>>(rep.total_len);
-  auto op_holder = std::make_shared<PendingOp>(std::move(op));
-  wire.qp->post_read(
-      *buf, fabric::RemoteAddr{rep.rkey, rep.offset}, next_req_id_++,
-      guard([this, buf, op_holder, key_hash, rep, prim = entry.primary,
-             release = std::move(wire.release)](const fabric::Completion& wc) {
-        // Release the channel pin before anything else: the reaper must not
-        // stay blocked if the completion path re-submits or errors out.
-        if (release) release();
-        if (wc.status != fabric::WcStatus::kSuccess) {
-          cache_->erase(key_hash);
-          ++stats_.ptr_misses;
-          submit(std::move(*op_holder));
-          return;
-        }
-        schedule_after(cfg_.decode_cost, [this, buf, op_holder, key_hash, rep,
-                                          prim] {
-          const core::ItemValidity validity =
-              core::validate_item(buf->data(), buf->size(), op_holder->req.key);
-          if (validity == core::ItemValidity::kValid) {
-            ++stats_.ptr_hits;
-            ++stats_.replica_hits;
-            ++stats_.gets;
-            core::ItemView item(buf->data());
-            stats_.get_latency.record(now() - op_holder->issued);
-            if (fabric_.obs() != nullptr) {
-              fabric_.obs()->trace(now(), node_, obs::TraceKind::kReplicaReadHit,
-                                   prim.shard, key_hash, rep.node);
-            }
-            maybe_auto_renew(op_holder->req.key, prim);
-            if (op_holder->get_cb) op_holder->get_cb(Status::kOk, item.value());
-            return;
-          }
-          // Dead guardian or mismatch: the copy was invalidated by a write
-          // or demotion. Drop the whole entry (primary included -- the next
-          // GET response re-advertises whatever is still promoted).
-          ++stats_.invalid_hits;
-          cache_->erase(key_hash);
-          submit(std::move(*op_holder));
-        });
-      }));
+  read_item(wire.qp, fabric::RemoteAddr{rep.rkey, rep.offset}, rep.total_len, key_hash,
+            entry.primary, std::move(op), std::move(wire.release), rep.node);
+}
+
+void Client::read_item(fabric::QueuePair* qp, fabric::RemoteAddr addr, std::uint32_t len,
+                       std::uint64_t key_hash, const proto::RemotePtr& lease, PendingOp op,
+                       std::function<void()> release, NodeId replica) {
+  // One heap record carries the op from post to decode; items are fetched
+  // whole (header + key + value + guardian) and validated locally.
+  auto rd = std::make_unique<ItemRead>(std::move(op), std::vector<std::byte>(len), key_hash,
+                                       lease, replica, std::move(release));
+  const std::span<std::byte> dst(rd->buf);
+  qp->post_read(dst, addr, next_req_id_++,
+                guard([this, rd = std::move(rd)](const fabric::Completion& wc) mutable {
+                  // Release a replica channel pin before anything else: the
+                  // reaper must not stay blocked if the completion re-submits.
+                  if (rd->release) rd->release();
+                  if (wc.status != fabric::WcStatus::kSuccess) {
+                    // Unreachable: treat like a miss; the message path will
+                    // retry/re-route through the failover machinery.
+                    cache_->erase(rd->key_hash);
+                    ++stats_.ptr_misses;
+                    submit(std::move(rd->op));
+                    return;
+                  }
+                  schedule_after(cfg_.decode_cost,
+                                 [this, rd = std::move(rd)] { finish_item_read(*rd); });
+                }));
+}
+
+void Client::finish_item_read(ItemRead& rd) {
+  if (core::validate_item(rd.buf.data(), rd.buf.size(), rd.op.req.key) !=
+      core::ItemValidity::kValid) {
+    // Outdated, reclaimed, or a follower copy invalidated by a write or
+    // demotion: drop the whole entry (the next GET response re-advertises
+    // whatever is still promoted) and fall back to a GET message for the
+    // latest version (paper section 4.2.3).
+    ++stats_.invalid_hits;
+    cache_->erase(rd.key_hash);
+    submit(std::move(rd.op));
+    return;
+  }
+  ++stats_.ptr_hits;
+  ++stats_.gets;
+  stats_.get_latency.record(now() - rd.op.issued);
+  if (rd.replica != kInvalidNode) {
+    ++stats_.replica_hits;
+    if (fabric_.obs() != nullptr) {
+      fabric_.obs()->trace(now(), node_, obs::TraceKind::kReplicaReadHit, rd.lease.shard,
+                           rd.key_hash, rd.replica);
+    }
+  }
+  maybe_auto_renew(rd.op.req.key, rd.lease);
+  if (rd.op.get_cb) rd.op.get_cb(Status::kOk, core::ItemView(rd.buf.data()).value());
 }
 
 void Client::maybe_auto_renew(const std::string& key, const proto::RemotePtr& ptr) {

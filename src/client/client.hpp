@@ -261,6 +261,17 @@ class Client : public sim::Actor {
     int retries = 0;
   };
 
+  /// A one-sided GET in flight, owned by its completion and then by its
+  /// decode event.
+  struct ItemRead {
+    PendingOp op;
+    std::vector<std::byte> buf;
+    std::uint64_t key_hash = 0;
+    proto::RemotePtr lease;
+    NodeId replica = kInvalidNode;  ///< follower node; kInvalidNode = primary
+    std::function<void()> release;  ///< unpins a replica read channel
+  };
+
   /// One ring-slot pair: a request in flight and its private timeout.
   struct Slot {
     bool busy = false;
@@ -297,6 +308,8 @@ class Client : public sim::Actor {
   Conn* connection_to(ShardId shard);
   void drop_connection(ShardId shard);
   void submit(PendingOp op);
+  /// Builds a message-path op whose completion is a plain status and submits it.
+  void submit_op(proto::MsgType type, std::string key, std::string value, OpCallback cb);
   /// Places `op` into a free ring slot of `conn` and issues it on the wire.
   void issue(ShardId shard, Conn& conn, PendingOp op);
   void post_slot(ShardId shard, std::uint32_t slot_idx);
@@ -316,6 +329,15 @@ class Client : public sim::Actor {
   /// path, a missing route falls back to the primary read.
   void try_replica_read(std::uint64_t key_hash, const CachedPtr& entry,
                         std::uint32_t replica_idx, PendingOp op);
+  /// One-sided GET of a whole item at `addr` (the primary's arena, or a
+  /// promoted follower copy on node `replica`) leased by `lease`;
+  /// `release` (may be empty) unpins the read channel on completion.
+  void read_item(fabric::QueuePair* qp, fabric::RemoteAddr addr, std::uint32_t len,
+                 std::uint64_t key_hash, const proto::RemotePtr& lease, PendingOp op,
+                 std::function<void()> release, NodeId replica = kInvalidNode);
+  /// Validates a landed item read: a hit completes the GET, anything else
+  /// invalidates the cached pointer and falls back to the message path.
+  void finish_item_read(ItemRead& rd);
   void maybe_auto_renew(const std::string& key, const proto::RemotePtr& ptr);
   [[nodiscard]] std::uint64_t current_epoch() const {
     return epoch_source_ ? epoch_source_() : 0;

@@ -213,6 +213,14 @@ class Fabric {
   friend class QueuePair;
   friend class TcpConn;
 
+  /// An in-flight RDMA Read's serve-time snapshot and status, handed from
+  /// its serve event to its completion event. Records are recycled through
+  /// free_read_stages_, so steady-state reads stage bytes without allocating.
+  struct ReadStage {
+    std::vector<std::byte> bytes;
+    WcStatus status = WcStatus::kSuccess;
+  };
+
   sim::Scheduler& sched_;
   CostModel cost_;
   FabricStats stats_;
@@ -226,6 +234,8 @@ class Fabric {
   std::vector<std::pair<QueuePair*, QueuePair*>> qp_pool_;
   std::uint32_t next_qp_id_ = 0;
   std::vector<std::unique_ptr<TcpConn>> tcp_conns_;
+  std::vector<ReadStage> read_stages_;
+  std::vector<std::uint32_t> free_read_stages_;
 };
 
 }  // namespace hydra::fabric

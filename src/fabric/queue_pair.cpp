@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <utility>
 
 #include "fabric/fabric.hpp"
@@ -20,13 +19,13 @@ Duration scaled(Duration base, double penalty) noexcept {
 void QueuePair::post_write(std::vector<std::byte> data, RemoteAddr dst,
                            std::uint64_t wr_id, CompletionFn on_done, bool batched) {
   if (!open_) {
-    flush_completion(WcOp::kWrite, wr_id, static_cast<std::uint32_t>(data.size()),
-                     std::move(on_done));
+    complete_after(0, std::move(on_done),
+                   {WcOp::kWrite, WcStatus::kFlushed, wr_id,
+                    static_cast<std::uint32_t>(data.size())});
     return;
   }
   Fabric& f = *fabric_;
   sim::Scheduler& sched = f.sched_;
-  const CostModel& cm = f.cost_;
   ++f.stats_.rdma_writes;
 
   // `data` is the post-time snapshot, as if the NIC DMA-read the buffer
@@ -39,30 +38,13 @@ void QueuePair::post_write(std::vector<std::byte> data, RemoteAddr dst,
                   obs::kNoShard, size, dst.rkey);
   }
 
-  // Initiator NIC send engine: WQE processing plus wire serialization.
-  Nic& tx = f.node(local_).nic();
-  const double pen_tx = cm.qp_penalty(tx.qp_count);
-  const Time tx_start = std::max(sched.now(), tx.tx_free);
-  tx.tx_free = tx_start + scaled(cm.tx_overhead(batched), pen_tx) + cm.rdma_wire_time(size);
-  ++tx.tx_ops;
-  tx.tx_bytes += size;
+  const Time commit =
+      commit_in_order(transmit(f.cost_.tx_overhead(batched), 0, size), size, 0, 0);
 
-  const Time arrival = tx.tx_free + cm.rdma_propagation;
-
-  // Target NIC receive/DMA engine.
-  Nic& rx = f.node(remote_).nic();
-  const double pen_rx = cm.qp_penalty(rx.qp_count);
-  Time commit = std::max(arrival, rx.rx_free) + scaled(cm.nic_rx_overhead, pen_rx);
-  rx.rx_free = commit;
-  ++rx.rx_ops;
-  rx.rx_bytes += size;
-
-  // RC ordering: writes on one QP become visible in posted order.
-  commit = std::max(commit, last_commit_);
-  last_commit_ = commit;
-
-  sched.at(commit, [this, &f, &sched, data = std::move(data), dst, wr_id,
-                    on_done = std::move(on_done), size, gen = generation_]() mutable {
+  // The closure is sized to stay inside EventFn's inline buffer: it reaches
+  // the scheduler through `f`.
+  sched.at(commit, [this, &f, data = std::move(data), dst, wr_id, on_done = std::move(on_done),
+                    size, gen = generation_]() mutable {
     const CostModel& cost = f.cost_;
     if (!open_ || generation_ != gen) {
       // QP torn down (or its slot recycled) while the op was in flight: the
@@ -74,13 +56,10 @@ void QueuePair::post_write(std::vector<std::byte> data, RemoteAddr dst,
     if (!rem.alive()) {
       ++f.stats_.dead_peer_errors;
       if (f.obs_) {
-        f.obs_->trace(sched.now(), local_, obs::TraceKind::kWriteDeadPeer, obs::kNoShard, size);
+        f.obs_->trace(f.sched_.now(), local_, obs::TraceKind::kWriteDeadPeer, obs::kNoShard, size);
       }
-      if (on_done) {
-        sched.after(cost.peer_timeout, [on_done = std::move(on_done), wr_id, size] {
-          on_done(Completion{WcOp::kWrite, WcStatus::kRemoteDead, wr_id, size});
-        });
-      }
+      complete_after(cost.peer_timeout, std::move(on_done),
+                     {WcOp::kWrite, WcStatus::kRemoteDead, wr_id, size});
       return;
     }
     WriteFault fault;
@@ -88,11 +67,8 @@ void QueuePair::post_write(std::vector<std::byte> data, RemoteAddr dst,
     MemoryRegion* mr = rem.find_region(dst.rkey);
     if (mr == nullptr || !mr->contains(dst.offset, size)) {
       ++f.stats_.protection_errors;
-      if (on_done) {
-        sched.after(cost.rdma_propagation, [on_done = std::move(on_done), wr_id, size] {
-          on_done(Completion{WcOp::kWrite, WcStatus::kProtectionError, wr_id, size});
-        });
-      }
+      complete_after(cost.rdma_propagation, std::move(on_done),
+                     {WcOp::kWrite, WcStatus::kProtectionError, wr_id, size});
       return;
     }
     if (fault.kind != WriteFault::Kind::kDeliver) {
@@ -108,39 +84,34 @@ void QueuePair::post_write(std::vector<std::byte> data, RemoteAddr dst,
         ++f.stats_.dropped_writes;
       }
       if (f.obs_) {
-        f.obs_->trace(sched.now(), remote_, obs::TraceKind::kWriteFaulted, obs::kNoShard,
+        f.obs_->trace(f.sched_.now(), remote_, obs::TraceKind::kWriteFaulted, obs::kNoShard,
                       committed, dst.rkey);
       }
       if (committed > 0) {
         std::memcpy(mr->base() + dst.offset, data.data(), committed);
         if (mr->write_hook()) mr->write_hook()(dst.offset, committed);
       }
-      if (on_done) {
-        sched.after(cost.peer_timeout, [on_done = std::move(on_done), wr_id, committed] {
-          on_done(Completion{WcOp::kWrite, WcStatus::kFlushed, wr_id, committed});
-        });
-      }
+      complete_after(cost.peer_timeout, std::move(on_done),
+                     {WcOp::kWrite, WcStatus::kFlushed, wr_id, committed});
       return;
     }
     std::memcpy(mr->base() + dst.offset, data.data(), size);
     if (f.obs_) {
-      f.obs_->trace(sched.now(), remote_, obs::TraceKind::kWriteCommitted, obs::kNoShard, size,
+      f.obs_->trace(f.sched_.now(), remote_, obs::TraceKind::kWriteCommitted, obs::kNoShard, size,
                     dst.rkey);
     }
     if (mr->write_hook()) mr->write_hook()(dst.offset, size);
-    if (on_done) {
-      sched.after(cost.rdma_propagation, [on_done = std::move(on_done), wr_id, size] {
-        on_done(Completion{WcOp::kWrite, WcStatus::kSuccess, wr_id, size});
-      });
-    }
+    complete_after(cost.rdma_propagation, std::move(on_done),
+                   {WcOp::kWrite, WcStatus::kSuccess, wr_id, size});
   });
 }
 
 void QueuePair::post_read(std::span<std::byte> dst, RemoteAddr src,
                           std::uint64_t wr_id, CompletionFn on_done) {
   if (!open_) {
-    flush_completion(WcOp::kRead, wr_id, static_cast<std::uint32_t>(dst.size()),
-                     std::move(on_done));
+    complete_after(0, std::move(on_done),
+                   {WcOp::kRead, WcStatus::kFlushed, wr_id,
+                    static_cast<std::uint32_t>(dst.size())});
     return;
   }
   Fabric& f = *fabric_;
@@ -157,14 +128,7 @@ void QueuePair::post_read(std::span<std::byte> dst, RemoteAddr src,
   }
 
   // Request WQE leaves through the initiator's send engine.
-  Nic& tx = f.node(local_).nic();
-  const double pen_tx = cm.qp_penalty(tx.qp_count);
-  const Time tx_start = std::max(sched.now(), tx.tx_free);
-  tx.tx_free = tx_start + scaled(cm.nic_tx_overhead, pen_tx) + cm.rdma_wire_time(kReadRequestBytes);
-  ++tx.tx_ops;
-  tx.tx_bytes += kReadRequestBytes;
-
-  const Time req_arrival = tx.tx_free + cm.rdma_propagation;
+  const Time req_arrival = transmit(cm.nic_tx_overhead, 0, kReadRequestBytes);
 
   // Target NIC serves the read entirely in hardware: it DMA-reads the
   // registered memory and streams the response without touching the CPU.
@@ -179,42 +143,50 @@ void QueuePair::post_read(std::span<std::byte> dst, RemoteAddr src,
   const Time resp_arrival = rnic.tx_free + cm.rdma_propagation;
 
   Nic& lrx = f.node(local_).nic();
-  const Time done = std::max(resp_arrival, lrx.rx_free) + scaled(cm.nic_rx_overhead, pen_tx);
+  const double pen_l = cm.qp_penalty(lrx.qp_count);
+  const Time done = std::max(resp_arrival, lrx.rx_free) + scaled(cm.nic_rx_overhead, pen_l);
   lrx.rx_free = done;
   ++lrx.rx_ops;
   lrx.rx_bytes += size;
 
-  // Two-phase: target memory is observed at serve time, the initiator's
-  // buffer is filled at completion time.
-  auto snapshot = std::make_shared<std::vector<std::byte>>();
-  auto failure = std::make_shared<WcStatus>(WcStatus::kSuccess);
+  // Two-phase: target memory is observed at serve time into a pooled
+  // staging record, the initiator's buffer is filled at completion time.
+  // Both events are scheduled now, so their (time, seq) order is fixed at
+  // post time.
+  if (f.free_read_stages_.empty()) {
+    f.free_read_stages_.push_back(static_cast<std::uint32_t>(f.read_stages_.size()));
+    f.read_stages_.emplace_back();
+  }
+  const std::uint32_t stage = f.free_read_stages_.back();
+  f.free_read_stages_.pop_back();
 
-  sched.at(serve_start, [this, &f, src, size, snapshot, failure, gen = generation_] {
+  sched.at(serve_start, [this, &f, src, size, stage, gen = generation_] {
+    Fabric::ReadStage& st = f.read_stages_[stage];
     if (!open_ || generation_ != gen) {
-      *failure = WcStatus::kFlushed;
+      st.status = WcStatus::kFlushed;
       return;
     }
     Node& rem = f.node(remote_);
     if (!rem.alive()) {
       ++f.stats_.dead_peer_errors;
-      *failure = WcStatus::kRemoteDead;
+      st.status = WcStatus::kRemoteDead;
       return;
     }
     MemoryRegion* mr = rem.find_region(src.rkey);
     if (mr == nullptr || !mr->contains(src.offset, size)) {
       ++f.stats_.protection_errors;
-      *failure = WcStatus::kProtectionError;
+      st.status = WcStatus::kProtectionError;
       return;
     }
-    snapshot->assign(mr->base() + src.offset, mr->base() + src.offset + size);
+    st.bytes.assign(mr->base() + src.offset, mr->base() + src.offset + size);
     if (f.read_fault_) {
       const ReadFault rf = f.read_fault_(local_, remote_, src, size);
       if (rf.kind == ReadFault::Kind::kTorn) {
         // Delivered as kSuccess with the bytes past the torn prefix garbled:
         // only the reader's own validation (checksums, guardians) can tell.
         ++f.stats_.torn_reads;
-        for (std::size_t i = rf.torn_bytes; i < snapshot->size(); ++i) {
-          (*snapshot)[i] ^= std::byte{0xA5};
+        for (std::size_t i = rf.torn_bytes; i < st.bytes.size(); ++i) {
+          st.bytes[i] ^= std::byte{0xA5};
         }
         if (f.obs_) {
           f.obs_->trace(f.sched_.now(), local_, obs::TraceKind::kReadFaulted,
@@ -224,30 +196,28 @@ void QueuePair::post_read(std::span<std::byte> dst, RemoteAddr src,
     }
   });
 
-  const Time completion_time =
-      done;  // success path; errors surface after the retransmit timeout
-  sched.at(completion_time, [this, &sched, &f, dst, wr_id, size, snapshot, failure,
-                             on_done = std::move(on_done), gen = generation_]() mutable {
-    if (!open_ || generation_ != gen) *failure = WcStatus::kFlushed;
+  // Success completes at `done`; errors surface after the retransmit timeout.
+  sched.at(done, [this, &f, &sched, dst, wr_id, size, stage, on_done = std::move(on_done),
+                  gen = generation_]() mutable {
+    WcStatus status = f.read_stages_[stage].status;
+    if (!open_ || generation_ != gen) status = WcStatus::kFlushed;
+    if (status == WcStatus::kSuccess) {
+      std::memcpy(dst.data(), f.read_stages_[stage].bytes.data(), size);
+    }
+    f.read_stages_[stage].status = WcStatus::kSuccess;
+    f.free_read_stages_.push_back(stage);
     if (f.obs_) {
       f.obs_->trace(sched.now(), local_, obs::TraceKind::kReadCompleted, obs::kNoShard, size,
-                    static_cast<std::uint64_t>(*failure != WcStatus::kSuccess));
+                    static_cast<std::uint64_t>(status != WcStatus::kSuccess));
     }
-    if (*failure != WcStatus::kSuccess) {
-      if (on_done == nullptr) return;
-      if (*failure == WcStatus::kFlushed) {
-        // Local teardown, not a remote fault: no retransmit timeout to wait.
-        on_done(Completion{WcOp::kRead, WcStatus::kFlushed, wr_id, size});
-        return;
-      }
-      sched.after(f.cost_.peer_timeout,
-                  [on_done = std::move(on_done), wr_id, size, st = *failure] {
-                    on_done(Completion{WcOp::kRead, st, wr_id, size});
-                  });
+    if (status == WcStatus::kSuccess || status == WcStatus::kFlushed) {
+      // A flush is local teardown, not a remote fault: no retransmit
+      // timeout to wait out.
+      if (on_done) on_done(Completion{WcOp::kRead, status, wr_id, size});
       return;
     }
-    std::memcpy(dst.data(), snapshot->data(), size);
-    if (on_done) on_done(Completion{WcOp::kRead, WcStatus::kSuccess, wr_id, size});
+    complete_after(f.cost_.peer_timeout, std::move(on_done),
+                   {WcOp::kRead, status, wr_id, size});
   });
 }
 
@@ -266,7 +236,7 @@ void QueuePair::post_atomic(WcOp op, RemoteAddr dst, std::uint64_t compare,
                             CompletionFn on_done) {
   constexpr std::uint32_t kAtomicBytes = 8;
   if (!open_) {
-    flush_completion(op, wr_id, kAtomicBytes, std::move(on_done));
+    complete_after(0, std::move(on_done), {op, WcStatus::kFlushed, wr_id, kAtomicBytes});
     return;
   }
   Fabric& f = *fabric_;
@@ -283,27 +253,9 @@ void QueuePair::post_atomic(WcOp op, RemoteAddr dst, std::uint64_t compare,
   // Same shape as post_write's pipeline: request WQE through the initiator's
   // send engine, execute at the target NIC, response rides back. The target
   // additionally pays atomic_extra for the HCA's serialised read-modify-write
-  // unit.
-  Nic& tx = f.node(local_).nic();
-  const double pen_tx = cm.qp_penalty(tx.qp_count);
-  const Time tx_start = std::max(sched.now(), tx.tx_free);
-  tx.tx_free = tx_start + scaled(cm.nic_tx_overhead, pen_tx) + cm.rdma_wire_time(kAtomicBytes);
-  ++tx.tx_ops;
-  tx.tx_bytes += kAtomicBytes;
-
-  const Time arrival = tx.tx_free + cm.rdma_propagation;
-
-  Nic& rx = f.node(remote_).nic();
-  const double pen_rx = cm.qp_penalty(rx.qp_count);
-  Time commit = std::max(arrival, rx.rx_free) + scaled(cm.nic_rx_overhead, pen_rx) +
-                scaled(cm.atomic_extra, pen_rx);
-  rx.rx_free = commit;
-  ++rx.rx_ops;
-  rx.rx_bytes += kAtomicBytes;
-
-  // Atomics obey the same posted-order visibility as writes on this QP.
-  commit = std::max(commit, last_commit_);
-  last_commit_ = commit;
+  // unit; atomics obey the same posted-order visibility as writes.
+  const Time commit = commit_in_order(transmit(cm.nic_tx_overhead, 0, kAtomicBytes),
+                                      kAtomicBytes, cm.atomic_extra, 0);
 
   sched.at(commit, [this, &f, &sched, op, dst, compare, operand, wr_id, is_faa,
                     on_done = std::move(on_done), gen = generation_]() mutable {
@@ -319,11 +271,8 @@ void QueuePair::post_atomic(WcOp op, RemoteAddr dst, std::uint64_t compare,
         f.obs_->trace(sched.now(), local_, obs::TraceKind::kWriteDeadPeer, obs::kNoShard,
                       kAtomicBytes);
       }
-      if (on_done) {
-        sched.after(cost.peer_timeout, [on_done = std::move(on_done), op, wr_id] {
-          on_done(Completion{op, WcStatus::kRemoteDead, wr_id, kAtomicBytes});
-        });
-      }
+      complete_after(cost.peer_timeout, std::move(on_done),
+                     {op, WcStatus::kRemoteDead, wr_id, kAtomicBytes});
       return;
     }
     WriteFault fault;
@@ -331,11 +280,8 @@ void QueuePair::post_atomic(WcOp op, RemoteAddr dst, std::uint64_t compare,
     MemoryRegion* mr = rem.find_region(dst.rkey);
     if (mr == nullptr || !mr->contains(dst.offset, kAtomicBytes)) {
       ++f.stats_.protection_errors;
-      if (on_done) {
-        sched.after(cost.rdma_propagation, [on_done = std::move(on_done), op, wr_id] {
-          on_done(Completion{op, WcStatus::kProtectionError, wr_id, kAtomicBytes});
-        });
-      }
+      complete_after(cost.rdma_propagation, std::move(on_done),
+                     {op, WcStatus::kProtectionError, wr_id, kAtomicBytes});
       return;
     }
     if (fault.kind == WriteFault::Kind::kDrop) {
@@ -346,11 +292,7 @@ void QueuePair::post_atomic(WcOp op, RemoteAddr dst, std::uint64_t compare,
         f.obs_->trace(sched.now(), remote_, obs::TraceKind::kAtomicFaulted, obs::kNoShard, 0,
                       dst.rkey);
       }
-      if (on_done) {
-        sched.after(cost.peer_timeout, [on_done = std::move(on_done), op, wr_id] {
-          on_done(Completion{op, WcStatus::kFlushed, wr_id, 0});
-        });
-      }
+      complete_after(cost.peer_timeout, std::move(on_done), {op, WcStatus::kFlushed, wr_id, 0});
       return;
     }
     // Execute the read-modify-write. The event loop is the serialisation
@@ -382,32 +324,23 @@ void QueuePair::post_atomic(WcOp op, RemoteAddr dst, std::uint64_t compare,
         f.obs_->trace(sched.now(), remote_, obs::TraceKind::kAtomicFaulted, obs::kNoShard, 1,
                       dst.rkey);
       }
-      if (on_done) {
-        sched.after(cost.peer_timeout, [on_done = std::move(on_done), op, wr_id] {
-          on_done(Completion{op, WcStatus::kFlushed, wr_id, 0});
-        });
-      }
+      complete_after(cost.peer_timeout, std::move(on_done), {op, WcStatus::kFlushed, wr_id, 0});
       return;
     }
     if (f.obs_) {
       f.obs_->trace(sched.now(), remote_, obs::TraceKind::kAtomicCommitted, obs::kNoShard,
                     is_faa, dst.rkey);
     }
-    if (on_done) {
-      sched.after(cost.rdma_propagation, [on_done = std::move(on_done), op, wr_id, old] {
-        Completion c{op, WcStatus::kSuccess, wr_id, kAtomicBytes};
-        c.old_value = old;
-        on_done(c);
-      });
-    }
+    complete_after(cost.rdma_propagation, std::move(on_done),
+                   {op, WcStatus::kSuccess, wr_id, kAtomicBytes, old});
   });
 }
 
 void QueuePair::post_send(std::span<const std::byte> msg,
                           std::uint64_t wr_id, CompletionFn on_done) {
   if (!open_) {
-    flush_completion(WcOp::kSend, wr_id, static_cast<std::uint32_t>(msg.size()),
-                     std::move(on_done));
+    complete_after(0, std::move(on_done),
+                   {WcOp::kSend, WcStatus::kFlushed, wr_id, static_cast<std::uint32_t>(msg.size())});
     return;
   }
   Fabric& f = *fabric_;
@@ -422,26 +355,8 @@ void QueuePair::post_send(std::span<const std::byte> msg,
     f.obs_->trace(sched.now(), local_, obs::TraceKind::kSendPosted, obs::kNoShard, size);
   }
 
-  Nic& tx = f.node(local_).nic();
-  const double pen_tx = cm.qp_penalty(tx.qp_count);
-  const Time tx_start = std::max(sched.now(), tx.tx_free);
-  tx.tx_free = tx_start + scaled(cm.nic_tx_overhead, pen_tx) + cm.two_sided_extra +
-               cm.rdma_wire_time(size);
-  ++tx.tx_ops;
-  tx.tx_bytes += size;
-
-  const Time arrival = tx.tx_free + cm.rdma_propagation;
-
-  Nic& rx = f.node(remote_).nic();
-  const double pen_rx = cm.qp_penalty(rx.qp_count);
-  Time commit = std::max(arrival, rx.rx_free) + scaled(cm.nic_rx_overhead, pen_rx) +
-                cm.two_sided_extra;
-  rx.rx_free = commit;
-  ++rx.rx_ops;
-  rx.rx_bytes += size;
-
-  commit = std::max(commit, last_commit_);
-  last_commit_ = commit;
+  const Time commit = commit_in_order(transmit(cm.nic_tx_overhead, cm.two_sided_extra, size),
+                                      size, 0, cm.two_sided_extra);
 
   sched.at(commit, [this, &f, &sched, data = std::move(data), wr_id,
                     on_done = std::move(on_done), size, commit, gen = generation_]() mutable {
@@ -452,19 +367,13 @@ void QueuePair::post_send(std::span<const std::byte> msg,
     }
     if (!f.node(remote_).alive()) {
       ++f.stats_.dead_peer_errors;
-      if (on_done) {
-        sched.after(cost.peer_timeout, [on_done = std::move(on_done), wr_id, size] {
-          on_done(Completion{WcOp::kSend, WcStatus::kRemoteDead, wr_id, size});
-        });
-      }
+      complete_after(cost.peer_timeout, std::move(on_done),
+                     {WcOp::kSend, WcStatus::kRemoteDead, wr_id, size});
       return;
     }
     peer_->deliver_send(std::move(data), commit);
-    if (on_done) {
-      sched.after(cost.rdma_propagation, [on_done = std::move(on_done), wr_id, size] {
-        on_done(Completion{WcOp::kSend, WcStatus::kSuccess, wr_id, size});
-      });
-    }
+    complete_after(cost.rdma_propagation, std::move(on_done),
+                   {WcOp::kSend, WcStatus::kSuccess, wr_id, size});
   });
 }
 
@@ -508,12 +417,34 @@ void QueuePair::reopen(std::uint32_t id, NodeId local, NodeId remote) {
   last_commit_ = 0;
 }
 
-void QueuePair::flush_completion(WcOp op, std::uint64_t wr_id, std::uint32_t size,
-                                 CompletionFn on_done) {
+Time QueuePair::transmit(Duration overhead, Duration extra, std::uint32_t bytes) {
+  const CostModel& cm = fabric_->cost_;
+  Nic& tx = fabric_->node(local_).nic();
+  const Time start = std::max(fabric_->sched_.now(), tx.tx_free);
+  tx.tx_free = start + scaled(overhead, cm.qp_penalty(tx.qp_count)) + extra +
+               cm.rdma_wire_time(bytes);
+  ++tx.tx_ops;
+  tx.tx_bytes += bytes;
+  return tx.tx_free + cm.rdma_propagation;
+}
+
+Time QueuePair::commit_in_order(Time arrival, std::uint32_t bytes, Duration extra,
+                                Duration fixed) {
+  const CostModel& cm = fabric_->cost_;
+  Nic& rx = fabric_->node(remote_).nic();
+  const double pen = cm.qp_penalty(rx.qp_count);
+  rx.rx_free =
+      std::max(arrival, rx.rx_free) + scaled(cm.nic_rx_overhead, pen) + scaled(extra, pen) + fixed;
+  ++rx.rx_ops;
+  rx.rx_bytes += bytes;
+  // RC ordering: ops on one QP become visible in posted order.
+  last_commit_ = std::max(rx.rx_free, last_commit_);
+  return last_commit_;
+}
+
+void QueuePair::complete_after(Duration delay, CompletionFn on_done, const Completion& wc) {
   if (!on_done) return;
-  fabric_->sched_.after(0, [on_done = std::move(on_done), op, wr_id, size] {
-    on_done(Completion{op, WcStatus::kFlushed, wr_id, size});
-  });
+  fabric_->sched_.after(delay, [on_done = std::move(on_done), wc] { on_done(wc); });
 }
 
 void QueuePair::post_recv(std::span<std::byte> buf, std::uint64_t wr_id) {

@@ -23,6 +23,7 @@
 
 #include "common/types.hpp"
 #include "fabric/memory_region.hpp"
+#include "sim/inline_fn.hpp"
 
 namespace hydra::fabric {
 
@@ -58,7 +59,10 @@ struct Completion {
   std::uint64_t old_value = 0;
 };
 
-using CompletionFn = std::function<void(const Completion&)>;
+/// Initiator-side completion callback: move-only, so callers move their op
+/// state (buffers, pending requests, callbacks) into it. 40 inline bytes
+/// keep it small enough to ride inside an inline EventFn.
+using CompletionFn = sim::InlineFn<void(const Completion&), 40>;
 /// Responder-side delivery of a Send into a posted Receive buffer.
 using RecvHandler = std::function<void(const Completion&, std::span<std::byte> data)>;
 
@@ -147,9 +151,16 @@ class QueuePair {
   void close();
   /// Re-arms a closed endpoint for a fresh logical connection (slot reuse).
   void reopen(std::uint32_t id, NodeId local, NodeId remote);
-  /// Immediately flushes `on_done` for an op that hit a closed QP.
-  void flush_completion(WcOp op, std::uint64_t wr_id, std::uint32_t size,
-                        CompletionFn on_done);
+  /// Charges a WQE of `bytes` to the initiator's send engine (`overhead`
+  /// scaled by the QP-count penalty, plus `extra` and wire time) and returns
+  /// its arrival time at the target NIC.
+  Time transmit(Duration overhead, Duration extra, std::uint32_t bytes);
+  /// Charges the target's receive engine for a WQE arriving at `arrival`
+  /// (`extra` scaled by the penalty, `fixed` not) and returns its commit
+  /// time, never earlier than the QP's previous commit (RC posted order).
+  Time commit_in_order(Time arrival, std::uint32_t bytes, Duration extra, Duration fixed);
+  /// Delivers `wc` to `on_done`, if set, after `delay` of virtual time.
+  void complete_after(Duration delay, CompletionFn on_done, const Completion& wc);
 
   Fabric* fabric_;
   std::uint32_t id_;

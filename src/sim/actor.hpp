@@ -2,10 +2,10 @@
 //
 // Killing an actor (crash injection, failover tests) atomically invalidates
 // everything it scheduled, mirroring a real process whose threads stop
-// executing at crash time.
+// executing at crash time. Liveness lives in the scheduler's actor table,
+// so the scheduler must outlive its actors and anything holding a guard().
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -16,42 +16,40 @@ namespace hydra::sim {
 class Actor {
  public:
   Actor(Scheduler& sched, std::string name)
-      : sched_(sched), name_(std::move(name)) {}
-  virtual ~Actor() { *alive_ = false; }
+      : sched_(sched), name_(std::move(name)), id_(sched.add_actor()) {}
+  virtual ~Actor() { sched_.retire_actor(id_); }
 
   Actor(const Actor&) = delete;
   Actor& operator=(const Actor&) = delete;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] bool alive() const noexcept { return *alive_; }
+  [[nodiscard]] bool alive() const noexcept { return sched_.actor_alive(id_); }
   [[nodiscard]] Scheduler& scheduler() noexcept { return sched_; }
   [[nodiscard]] Time now() const noexcept { return sched_.now(); }
 
   /// Simulates a process crash: pending and future callbacks are dropped.
-  virtual void kill() { *alive_ = false; }
+  virtual void kill() { sched_.retire_actor(id_); }
 
   /// Wraps any callable so it only runs while this actor is alive. Useful
   /// when handing callbacks to other components (NIC completion handlers,
   /// memory-region write hooks, coordinator watches).
   template <typename F>
   [[nodiscard]] auto guard(F fn) const {
-    return [alive = std::weak_ptr<bool>(alive_), fn = std::move(fn)](auto&&... args) mutable {
-      if (const auto a = alive.lock(); a && *a) fn(std::forward<decltype(args)>(args)...);
+    return [sched = &sched_, id = id_, fn = std::move(fn)](auto&&... args) mutable {
+      if (sched->actor_alive(id)) fn(std::forward<decltype(args)>(args)...);
     };
   }
 
   /// Schedules `fn` after `delay`, skipped if this actor has died meanwhile.
   EventId schedule_after(Duration delay, EventFn fn) {
-    return sched_.after(delay, guard(std::move(fn)));
+    return sched_.after(delay, std::move(fn), id_);
   }
-  EventId schedule_at(Time when, EventFn fn) {
-    return sched_.at(when, guard(std::move(fn)));
-  }
+  EventId schedule_at(Time when, EventFn fn) { return sched_.at(when, std::move(fn), id_); }
 
  private:
   Scheduler& sched_;
   std::string name_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  ActorId id_;
 };
 
 }  // namespace hydra::sim

@@ -5,6 +5,7 @@
 // bugfix regressions this PR ships: revoked-rkey retransmits settling strict
 // waiters, fenced-rkey pointer invalidation on fast epoch advance, and the
 // legacy/fast double-promotion guard.
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -396,17 +397,34 @@ TEST(FastFailoverOff, NoRevocationMachineryWhenDisabled) {
 
 // ------------------------------------------------------------ chaos sweep
 
-// 10 scripted families x 5 seeds.
-TEST(FailoverChaosSweep, ScriptedFamilies) {
-  for (const auto& schedule : chaos::scripted(Family::kFailover)) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const Report r = Runner::run(schedule, seed);
-      EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
-                              << describe(r);
-      EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
-    }
+// Every scripted failover schedule x seeds 1-5, one test case per schedule
+// so ctest can spread the sweep across cores.
+class FailoverScripted : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FailoverScripted, FiveSeeds) {
+  const Schedule& schedule = scripted_by_name(GetParam());
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const Report r = Runner::run(schedule, seed);
+    EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
+                            << describe(r);
+    EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
   }
 }
+
+std::vector<std::string> failover_schedule_names() {
+  std::vector<std::string> names;
+  for (const auto& schedule : chaos::scripted(Family::kFailover)) names.push_back(schedule.name);
+  return names;
+}
+
+std::string param_name(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(FailoverChaosSweep, FailoverScripted,
+                         ::testing::ValuesIn(failover_schedule_names()), param_name);
 
 // Seeded-random compositions; HYDRA_FAILOVER_RANDOM_RUNS scales the sweep
 // (tier1.sh --failover raises it, the sanitizer passes lower it).
