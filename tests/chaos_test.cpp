@@ -192,12 +192,75 @@ TEST(ChaosEngine, AbsentTargetIsSkippedNotFired) {
   EXPECT_NE(r.history.find("fault kill-primary shard=7 idx=0 skipped"), std::string::npos);
 }
 
+// ------------------------------------------------------ golden histories
+
+// Byte-identical histories are the safety net for refactors of the message
+// path: one scripted schedule per family at seed 1 must reproduce its pinned
+// FNV-1a history digest and headline counts exactly. A change that means to
+// move virtual time re-pins these (the failure message prints the new row).
+TEST(ChaosGolden, OneScriptedSchedulePerFamilyAtSeedOne) {
+  struct Case {
+    Family family;
+    const char* name;
+    test::Golden golden;
+  };
+  const Case cases[] = {
+      {Family::kChaos, "primary-kill-mid-put", {0xf452dff6933344e6ULL, 40, 0, 0}},
+      {Family::kMigration, "add-kill-source", {0xf05ae6f235fbce74ULL, 72, 0, 72}},
+      {Family::kFailover, "fast-composed-with-migration", {0x491de46832ffcfbeULL, 48, 0, 0}},
+      {Family::kHotKey, "hotkey-write-invalidate-race", {0x1b6092f1575091dfULL, 25, 0, 575}},
+      {Family::kScan, "scan-add-shard-live", {0x6aac6782acaab21dULL, 150, 0, 0}},
+      {Family::kTxn, "txn-migrate-mid-txn", {0xaa8336d808876399ULL, 30, 0, 0}},
+  };
+  for (const auto& c : cases) {
+    const Report r = Runner::run(chaos::scripted(c.family, c.name), 1);
+    EXPECT_EQ(test::to_string(test::golden_of(r)), test::to_string(c.golden)) << c.name;
+  }
+}
+
 // ------------------------------------------------------ the feature lattice
+
+// Seed-1 fingerprint of every lattice point, indexed by feature subset.
+constexpr test::Golden kLatticeGolden[chaos::kFeatureAll + 1] = {
+    {0x7985c1eab8000889ULL, 25, 0, 275},  // 0
+    {0x4dd0f51a37b54067ULL, 12, 0, 288},  // 1
+    {0x1c294086382f0c9dULL, 12, 0, 288},  // 2
+    {0x92a235f1a45515dbULL, 9, 0, 291},  // 3
+    {0x095bfff6a33a7c9eULL, 20, 0, 280},  // 4
+    {0x8dc967052777b8acULL, 10, 0, 290},  // 5
+    {0x83b7e3ac96ad2c84ULL, 11, 0, 289},  // 6
+    {0x5ceca5f214f81ad0ULL, 10, 0, 290},  // 7
+    {0xd77678aa9f33251bULL, 16, 0, 284},  // 8
+    {0x1163c2841ef8cedfULL, 25, 0, 275},  // 9
+    {0x75b93d7b11ba17c7ULL, 11, 0, 289},  // 10
+    {0x6a9dc488ec7aa39aULL, 10, 0, 290},  // 11
+    {0xed8e03bdf93199c4ULL, 12, 0, 288},  // 12
+    {0x9d52dd590f267030ULL, 20, 0, 280},  // 13
+    {0x36ea2f06d3a3aac3ULL, 9, 0, 291},  // 14
+    {0xbbf91e146765fca6ULL, 12, 0, 288},  // 15
+    {0x98ca3d91ea4f0a65ULL, 11, 0, 289},  // 16
+    {0x4434291e444359ecULL, 16, 0, 284},  // 17
+    {0x138a3acd98ddac39ULL, 11, 0, 289},  // 18
+    {0x7bb10c9f5d79633cULL, 9, 0, 291},  // 19
+    {0xb97a567ecc204373ULL, 20, 0, 280},  // 20
+    {0x7e1c263e93d353d3ULL, 20, 0, 280},  // 21
+    {0x6cafd0953193a57fULL, 10, 0, 290},  // 22
+    {0xa5ce24fa157de358ULL, 16, 0, 284},  // 23
+    {0x1126773393ee021cULL, 16, 0, 284},  // 24
+    {0x14b368b8fe91731cULL, 25, 0, 275},  // 25
+    {0x0920b23fa4237893ULL, 20, 0, 280},  // 26
+    {0xe224c4fb66c811acULL, 11, 0, 289},  // 27
+    {0x079c269de85b365eULL, 10, 0, 290},  // 28
+    {0xa3370c2d81363071ULL, 25, 0, 275},  // 29
+    {0xa290cf72df833354ULL, 25, 0, 275},  // 30
+    {0x1f051928396fa359ULL, 11, 0, 289},  // 31
+};
 
 // Every subset of {mux, ordered index, hot-key plane, txn lock arena, fast
 // failover} composed under the skewed GET/PUT driver with a primary kill
 // plus one wire fault. HYDRA_CHAOS_RANDOM_RUNS scales the seeds per
-// combination (the default 140 gives 2; never fewer than 2).
+// combination (the default 140 gives 2; never fewer than 2). The seed-1 run
+// also pins its golden history (see ChaosGolden above).
 class ChaosLattice : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ChaosLattice, PrimaryKillPlusWireFault) {
@@ -210,6 +273,11 @@ TEST_P(ChaosLattice, PrimaryKillPlusWireFault) {
     EXPECT_GT(r.acked, 0u) << s.name;
     EXPECT_GE(r.failovers, 1u) << s.name;
     EXPECT_EQ(r.faults_skipped, 0u) << s.name;
+    if (seed == 1) {
+      EXPECT_EQ(test::to_string(test::golden_of(r)),
+                test::to_string(kLatticeGolden[GetParam()]))
+          << s.name;
+    }
   }
 }
 
