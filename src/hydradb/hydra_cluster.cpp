@@ -229,6 +229,7 @@ void HydraCluster::export_metrics() {
     reg.counter(p + "gets").set(st->gets);
     reg.counter(p + "puts").set(st->puts);
     reg.counter(p + "removes").set(st->removes);
+    reg.counter(p + "renews").set(st->renews);
     reg.counter(p + "responses").set(st->responses);
     reg.counter(p + "batched_responses").set(st->batched_responses);
     reg.counter(p + "mux_requests").set(st->mux_requests);

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include <map>
@@ -23,6 +24,7 @@
 #include "common/zero_pages.hpp"
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
+#include "obs/trace.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
 #include "replication/primary.hpp"
@@ -239,16 +241,21 @@ class Shard : public sim::Actor {
     bool active = false;
   };
 
-  /// A decoded request waiting for the shard core; `batched` marks every
-  /// request after the first of one ring sweep, whose response shares the
-  /// sweep's doorbell. `endpoint` is kNoEndpoint on the legacy path and a
-  /// mux endpoint id for requests demultiplexed off a shared ring.
-  struct ReadyReq {
-    proto::Request req;
+  /// Where a request's response goes: response-ring `slot` of connection
+  /// `conn_idx`, or of mux `endpoint` when it is not kNoEndpoint. `batched`
+  /// marks every request after the first of one ring sweep, whose response
+  /// shares the sweep's doorbell.
+  struct Reply {
     std::uint32_t conn_idx = 0;
     std::uint32_t slot = 0;
     bool batched = false;
     std::uint32_t endpoint = kNoEndpoint;
+  };
+
+  /// A decoded request waiting for the shard core.
+  struct ReadyReq {
+    proto::Request req;
+    Reply reply;
   };
 
   /// Bytes one connection's request ring occupies in msg_region_.
@@ -271,27 +278,42 @@ class Shard : public sim::Actor {
   void process_loop();
   void sweep_connection(std::uint32_t idx);
   void sweep_mux_group(std::uint32_t idx);
-  void handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-              Duration cost_so_far, bool batched, std::uint32_t endpoint = kNoEndpoint);
+  /// Probes one request-ring slot, scrubbing a torn or garbage frame.
+  proto::FrameState probe_slot(std::span<std::byte> span);
+  void handle(proto::Request req, Duration cost, const Reply& to);
   /// kTxnCommit: validates epoch + ownership + lock words for the whole
   /// group, then applies every op in this one invocation (all-or-nothing;
   /// a mid-group store failure rolls the applied prefix back).
-  void handle_txn_commit(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-                         Duration cost, bool batched, std::uint32_t endpoint);
+  void handle_txn_commit(proto::Request req, Duration cost, const Reply& to);
   /// kScan: validates the continuation token's epoch against the live
   /// routing epoch, walks the ordered index from the resume key, and -- when
   /// more entries remain -- refreshes + advertises the continuation leaf's
   /// mirror page for one-sided pickup.
-  void handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-                   Duration cost, bool batched, std::uint32_t endpoint);
+  void handle_scan(proto::Request req, Duration cost, const Reply& to);
+  /// The write-ack pipeline (DESIGN.md §4) for a group of applied writes:
+  /// forwards each op to a running migration, retires its hot-key promotion
+  /// and replicates it; the response leaves once the CPU leg, every
+  /// replicated op and every guardian kill settled. A group with nothing to
+  /// wait on -- zero ops (a read, a failed write), or no replica and no
+  /// kill -- replies through respond().
+  void ack_writes(proto::Response resp, std::span<proto::TxnOp> ops,
+                  std::span<const std::uint64_t> hashes, Duration cost, const Reply& to);
+  /// Charges `cost` plus the response post and answers once it elapsed.
+  void respond(proto::Response resp, Duration cost, const Reply& to);
+  [[nodiscard]] Duration post_cost(const Reply& to) const noexcept {
+    return to.batched ? cfg_.cpu.post_response_batched : cfg_.cpu.post_response;
+  }
+  /// Fills `resp`'s remote pointer to the item `view` describes.
+  void grant_pointer(const core::GetView& view, proto::Response& resp) const;
   /// (Re)serializes `leaf` into the mirror when its cached (id, version,
   /// epoch) stamp is stale; returns the advertisement, or nullopt when the
   /// mirror is off or the leaf outgrows a page.
   std::optional<proto::ScanLeafHint> refresh_leaf_mirror(
       const index::OrderedIndex::LeafRef& leaf, std::uint64_t epoch, Duration& cost);
-  void send_response(const proto::Response& resp, std::uint32_t conn_idx,
-                     std::uint32_t slot, bool batched, std::uint32_t endpoint = kNoEndpoint);
+  void send_response(const proto::Response& resp, const Reply& to);
   void charge(Duration cost) noexcept { stats_.busy_time += cost; }
+  /// Records a trace event of this shard when an observability plane is on.
+  void trace(obs::TraceKind kind, std::uint64_t a, std::uint64_t b);
   void schedule_gc();
 
   // --- hot-key replication plane (DESIGN.md §12) ---------------------------
@@ -326,6 +348,10 @@ class Shard : public sim::Actor {
   /// advertisement (if any).
   void hotkey_note_get(const std::string& key, std::uint64_t version,
                        proto::Response& resp);
+  /// Lazy epoch demotion: a routing-epoch advance (a promotion elsewhere, a
+  /// migration commit) retires every advertisement minted under the old
+  /// ownership map before anything else is advertised under the new one.
+  void observe_epoch();
   /// Periodic scan: demote cooled keys, promote the interval's top-k.
   void hotkey_scan();
   void promote_key(const std::string& key);
@@ -347,6 +373,8 @@ class Shard : public sim::Actor {
   void promotion_op_done(const std::shared_ptr<Promotion>& p);
   void release_promo_slot(const std::shared_ptr<Promotion>& p);
   void retire_promotion(const std::shared_ptr<Promotion>& p, std::uint64_t reason);
+  /// Stops advertising `p` and records the demotion (kHotKeyDemoted `reason`).
+  void mark_retired(Promotion& p, std::uint64_t reason);
 
   fabric::Fabric& fabric_;
   NodeId node_;

@@ -272,6 +272,33 @@ TEST(GoldenDeterminism, PromotionLatencyDerivableFromChaosTraceAlone) {
   FAIL() << "no scripted schedule kills a primary";
 }
 
+// A client that keeps re-reading one key across lease boundaries renews the
+// lease; every renewal the shard served reaches the registry.
+TEST(Plane, ExportsShardLeaseRenewals) {
+  obs::Plane plane;
+  db::ClusterOptions opts;
+  opts.server_nodes = 1;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 1;
+  opts.clients_per_node = 1;
+  opts.enable_swat = false;
+  opts.shard_template.store.arena_bytes = 8 << 20;
+  opts.obs = &plane;
+  db::HydraCluster cluster(opts);
+  ASSERT_EQ(cluster.put("hot", "v"), Status::kOk);
+  for (int i = 0; i < 20; ++i) {
+    cluster.run_for(300 * kMillisecond);
+    ASSERT_TRUE(cluster.get("hot").has_value());
+  }
+  cluster.run_for(10 * kMillisecond);  // the last fire-and-forget renewal lands
+  const std::uint64_t sent = cluster.clients()[0]->stats().renews_sent;
+  ASSERT_GT(sent, 0u);
+  ASSERT_NE(cluster.shard(0), nullptr);
+  EXPECT_EQ(cluster.shard(0)->stats().renews, sent);
+  plane.collect();
+  EXPECT_EQ(plane.metrics().counter("shard.0.renews").value(), sent);
+}
+
 TEST(Plane, JsonCarriesSchemaAndTrace) {
   obs::Plane plane;
   plane.metrics().counter("x").add(5);
