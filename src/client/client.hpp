@@ -29,6 +29,7 @@
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
 #include "sim/actor.hpp"
+#include "sim/inline_fn.hpp"
 
 namespace hydra::client {
 
@@ -154,10 +155,13 @@ class Client : public sim::Actor {
   using GetCallback = std::function<void(Status, std::string_view value)>;
   using OpCallback = std::function<void(Status)>;
   /// Per-batch scan answer: the decoded kScanResp (entries + done + leaf
-  /// hint), or an empty one on error.
-  using ScanRespCallback = std::function<void(Status, const proto::ScanResp&)>;
+  /// hint), or an empty one on error. The entries are views into the
+  /// response payload, valid only during the call. Captures of up to 32
+  /// bytes (a cursor's shared_ptr plus its stream index and generation)
+  /// are stored inline.
+  using ScanRespCallback = sim::InlineFn<void(Status, const proto::ScanResp&), 32>;
   /// Raw one-sided leaf-page read; the buffer is the registered mirror page.
-  using LeafReadCallback = std::function<void(Status, std::vector<std::byte>)>;
+  using LeafReadCallback = sim::InlineFn<void(Status, std::vector<std::byte>), 32>;
   /// Cross-shard merged scan result (ScanCursor, DESIGN.md §13).
   using ScanEntries = std::vector<std::pair<std::string, std::string>>;
   using ScanResultFn = std::function<void(Status, ScanEntries)>;

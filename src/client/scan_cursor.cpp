@@ -8,6 +8,12 @@
 
 namespace hydra::client {
 
+namespace {
+/// Result capacity reserved up front: scans of up to this many entries never
+/// regrow the result, and a huge `limit` does not allocate a huge vector.
+constexpr std::uint32_t kResultReserve = 256;
+}  // namespace
+
 void Client::scan(std::string start_key, std::uint32_t limit, ScanResultFn cb) {
   ScanCursor::start(*this, std::move(start_key), limit, std::move(cb));
 }
@@ -26,7 +32,34 @@ ScanCursor::ScanCursor(Client& client, std::string start_key, std::uint32_t limi
       start_(std::move(start_key)),
       limit_(limit),
       cb_(std::move(cb)),
-      started_(client.now()) {}
+      started_(client.now()) {
+  out_.reserve(std::min(limit_, kResultReserve));
+}
+
+void ScanCursor::Batch::assign(
+    std::span<const std::pair<std::string_view, std::string_view>> kv) {
+  std::size_t total = 0;
+  for (const auto& [k, v] : kv) total += k.size() + v.size();
+  bytes.clear();
+  bytes.reserve(total);
+  entries.clear();
+  entries.reserve(kv.size());
+  head = 0;
+  for (const auto& [k, v] : kv) {
+    entries.push_back({bytes.size(), static_cast<std::uint32_t>(k.size()),
+                       static_cast<std::uint32_t>(v.size())});
+    bytes.append(k);
+    bytes.append(v);
+  }
+}
+
+void ScanCursor::Stream::take(
+    std::span<const std::pair<std::string_view, std::string_view>> kv) {
+  batch.assign(kv);
+  if (kv.empty()) return;
+  resume.assign(kv.back().first);
+  exclusive = true;
+}
 
 void ScanCursor::begin() {
   if (limit_ == 0) {
@@ -78,7 +111,7 @@ void ScanCursor::pump() {
     bool waiting = false;
     for (std::size_t i = 0; i < streams_.size(); ++i) {
       Stream& s = streams_[i];
-      if (s.done || !s.buffer.empty()) continue;
+      if (s.done || !s.batch.empty()) continue;
       if (!s.inflight) fetch(i);
       waiting = true;
     }
@@ -86,9 +119,8 @@ void ScanCursor::pump() {
     // Phase 2: all streams are done or buffered; emit the smallest head.
     std::size_t best = streams_.size();
     for (std::size_t i = 0; i < streams_.size(); ++i) {
-      if (streams_[i].buffer.empty()) continue;
-      if (best == streams_.size() ||
-          streams_[i].buffer.front().first < streams_[best].buffer.front().first) {
+      if (streams_[i].batch.empty()) continue;
+      if (best == streams_.size() || streams_[i].batch.key() < streams_[best].batch.key()) {
         best = i;
       }
     }
@@ -96,15 +128,17 @@ void ScanCursor::pump() {
       finish(Status::kOk);  // every shard exhausted before `limit`
       return;
     }
-    auto kv = std::move(streams_[best].buffer.front());
-    streams_[best].buffer.pop_front();
+    Batch& b = streams_[best].batch;
+    const std::string_view key = b.key();
+    const std::string_view value = b.value();
+    ++b.head;
     // Strictly-ascending emit: a key at or below the last emitted one is a
     // dual-ownership duplicate (the migration copy window briefly exposes
     // moved keys on source and destination alike) -- drop it.
-    if (emitted_any_ && kv.first <= last_emitted_) continue;
-    last_emitted_ = kv.first;
+    if (emitted_any_ && key <= last_emitted_) continue;
+    last_emitted_.assign(key);
     emitted_any_ = true;
-    out_.push_back(std::move(kv));
+    out_.emplace_back(key, value);
   }
 }
 
@@ -112,17 +146,17 @@ void ScanCursor::fetch(std::size_t idx) {
   Stream& s = streams_[idx];
   s.inflight = true;
   const std::uint64_t gen = generation_;
-  auto self = shared_from_this();
 
   if (client_.config().scan_leaf_reads && s.hint.valid()) {
-    // Single-shot hint: consume it now so a validation failure naturally
-    // falls back to the message path on the next fetch.
-    const proto::ScanLeafHint hint = s.hint;
-    s.hint = proto::ScanLeafHint{};
-    client_.leaf_read(hint.node, fabric::RemoteAddr{hint.rkey, hint.offset}, hint.len,
-                      [this, self, idx, gen, hint](Status st, std::vector<std::byte> page) {
-                        on_leaf_page(idx, gen, hint, st, std::move(page));
-                      });
+    // The hint stays armed until on_leaf_page consumes it, so a validation
+    // failure falls back to the message path on the next fetch.
+    auto on_page = [self = shared_from_this(), idx, gen](Status st,
+                                                         std::vector<std::byte> page) {
+      self->on_leaf_page(idx, gen, st, std::move(page));
+    };
+    static_assert(Client::LeafReadCallback::stores_inline<decltype(on_page)>);
+    client_.leaf_read(s.hint.node, fabric::RemoteAddr{s.hint.rkey, s.hint.offset},
+                      s.hint.len, std::move(on_page));
     return;
   }
 
@@ -132,10 +166,12 @@ void ScanCursor::fetch(std::size_t idx) {
       limit_ - static_cast<std::uint32_t>(std::min<std::size_t>(out_.size(), limit_));
   sreq.limit = std::max<std::uint32_t>(1, std::min(client_.config().scan_batch, need));
   sreq.flags = s.exclusive ? proto::kScanFlagExclusive : std::uint8_t{0};
-  client_.scan_shard(s.shard, s.resume, sreq,
-                     [this, self, idx, gen](Status st, const proto::ScanResp& resp) {
-                       on_batch(idx, gen, st, resp);
-                     });
+  auto on_resp = [self = shared_from_this(), idx, gen](Status st,
+                                                       const proto::ScanResp& resp) {
+    self->on_batch(idx, gen, st, resp);
+  };
+  static_assert(Client::ScanRespCallback::stores_inline<decltype(on_resp)>);
+  client_.scan_shard(s.shard, s.resume, sreq, std::move(on_resp));
 }
 
 void ScanCursor::on_batch(std::size_t idx, std::uint64_t gen, Status st,
@@ -159,22 +195,18 @@ void ScanCursor::on_batch(std::size_t idx, std::uint64_t gen, Status st,
     restart();
     return;
   }
-  for (const auto& [key, value] : resp.entries) {
-    s.resume = key;
-    s.exclusive = true;
-    s.buffer.emplace_back(key, value);
-  }
+  s.take(resp.entries);
   s.done = resp.done;
   if (!resp.done && resp.hint.valid()) s.hint = resp.hint;
   pump();
 }
 
-void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
-                              proto::ScanLeafHint hint, Status st,
+void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen, Status st,
                               std::vector<std::byte> page) {
   if (finished_ || gen != generation_) return;
   Stream& s = streams_[idx];
   s.inflight = false;
+  const proto::ScanLeafHint hint = std::exchange(s.hint, proto::ScanLeafHint{});
   ClientStats& stats = client_.mutable_stats();
   obs::Plane* obs = client_.fabric().obs();
 
@@ -194,7 +226,8 @@ void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
     fall_back();
     return;
   }
-  const auto decoded = index::decode_leaf_page({page.data(), page.size()});
+  // The decoded entries are views into `page`, which lives until we return.
+  const auto decoded = index::decode_leaf_page(page);
   if (!decoded.has_value() || decoded->leaf_id != hint.leaf_id ||
       decoded->leaf_version != hint.leaf_version || decoded->epoch != epoch_) {
     fall_back();
@@ -202,18 +235,17 @@ void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
   }
   // Structural re-check: entries must be strictly ascending (a checksum
   // collision shield; also what lets the merge trust the buffered order).
-  std::vector<std::pair<std::string, std::string>> fresh;
-  std::string_view prev{};
-  bool first = true;
-  for (const auto& [key, value] : decoded->entries) {
-    if (!first && key <= prev) {
+  // The fresh entries, those past `resume`, are then a suffix of the page.
+  const index::LeafPageEntries& entries = decoded->entries;
+  std::size_t fresh_from = entries.size();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0 && entries[i].first <= entries[i - 1].first) {
       fall_back();
       return;
     }
-    prev = key;
-    first = false;
-    if (key > s.resume) fresh.emplace_back(key, value);
+    if (fresh_from == entries.size() && entries[i].first > s.resume) fresh_from = i;
   }
+  const auto fresh = std::span(entries).subspan(fresh_from);
   if (fresh.empty() && !decoded->last) {
     // Deletions emptied our window into this leaf; let the message path
     // walk to the successor (guaranteed progress, unlike re-reading).
@@ -226,11 +258,7 @@ void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
     obs->trace(client_.now(), client_.node(), obs::TraceKind::kScanLeafRead, s.shard,
                hint.leaf_id, fresh.size());
   }
-  for (auto& [key, value] : fresh) {
-    s.resume = key;
-    s.exclusive = true;
-    s.buffer.emplace_back(std::move(key), std::move(value));
-  }
+  s.take(fresh);
   if (decoded->last) s.done = true;
   pump();
 }

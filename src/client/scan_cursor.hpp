@@ -19,9 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,14 +38,49 @@ class ScanCursor : public std::enable_shared_from_this<ScanCursor> {
                     Client::ScanResultFn cb);
 
  private:
+  /// One buffered batch. The merge fetches only into an empty stream, so a
+  /// stream holds at most one batch: its entries' bytes packed back to back
+  /// in `bytes` (key, then value) and located by `entries`. Both buffers are
+  /// reused batch to batch; an entry is copied once more, into the result,
+  /// when the merge emits it.
+  struct Batch {
+    struct Entry {
+      std::size_t off = 0;
+      std::uint32_t klen = 0;
+      std::uint32_t vlen = 0;
+    };
+    std::string bytes;
+    std::vector<Entry> entries;
+    std::size_t head = 0;  ///< next entry the merge has not consumed
+
+    [[nodiscard]] bool empty() const noexcept { return head == entries.size(); }
+    [[nodiscard]] std::string_view key() const noexcept {
+      const Entry& e = entries[head];
+      return {bytes.data() + e.off, e.klen};
+    }
+    [[nodiscard]] std::string_view value() const noexcept {
+      const Entry& e = entries[head];
+      return {bytes.data() + e.off + e.klen, e.vlen};
+    }
+    /// Replaces the batch with copies of `kv`, which may alias response or
+    /// page bytes that die when the caller returns.
+    void assign(std::span<const std::pair<std::string_view, std::string_view>> kv);
+  };
+
   struct Stream {
     ShardId shard = kInvalidShard;
     std::string resume;       ///< last key consumed from this shard
     bool exclusive = false;   ///< resume strictly after `resume`
     bool done = false;        ///< shard exhausted (no more fetches)
     bool inflight = false;
-    std::deque<std::pair<std::string, std::string>> buffer;
-    proto::ScanLeafHint hint{};  ///< valid() => one-sided continuation armed
+    Batch batch;
+    /// valid() => one-sided continuation armed; consumed by the leaf read's
+    /// completion, so a failed read falls back to the message path.
+    proto::ScanLeafHint hint{};
+
+    /// Buffers fresh entries (all past `resume`) and moves `resume` to the
+    /// last of them.
+    void take(std::span<const std::pair<std::string_view, std::string_view>> kv);
   };
 
   ScanCursor(Client& client, std::string start_key, std::uint32_t limit,
@@ -61,8 +97,8 @@ class ScanCursor : public std::enable_shared_from_this<ScanCursor> {
   void fetch(std::size_t idx);
   void on_batch(std::size_t idx, std::uint64_t gen, Status st,
                 const proto::ScanResp& resp);
-  void on_leaf_page(std::size_t idx, std::uint64_t gen, proto::ScanLeafHint hint,
-                    Status st, std::vector<std::byte> page);
+  void on_leaf_page(std::size_t idx, std::uint64_t gen, Status st,
+                    std::vector<std::byte> page);
   void finish(Status st);
 
   Client& client_;

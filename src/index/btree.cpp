@@ -270,7 +270,7 @@ std::optional<std::uint64_t> OrderedIndex::find(std::string_view key) const {
   return std::nullopt;
 }
 
-void OrderedIndex::scan(
+std::optional<OrderedIndex::LeafRef> OrderedIndex::scan(
     std::string_view from, bool exclusive,
     const std::function<bool(std::string_view, std::uint64_t)>& fn) const {
   Leaf* leaf = leaf_lower_bound(from);
@@ -280,26 +280,19 @@ void OrderedIndex::scan(
                                          from, EntryKeyLess{});
   while (leaf != nullptr) {
     for (; it != leaf->entries.end(); ++it) {
-      if (!fn(it->key, it->offset)) return;
+      if (!fn(it->key, it->offset)) {
+        return LeafRef{leaf->id, leaf->version, leaf->next == nullptr, &leaf->entries};
+      }
     }
     leaf = leaf->next;
     if (leaf != nullptr) it = leaf->entries.begin();
   }
+  return std::nullopt;
 }
 
 std::optional<OrderedIndex::LeafRef> OrderedIndex::leaf_for(std::string_view from,
                                                             bool exclusive) const {
-  Leaf* leaf = leaf_lower_bound(from);
-  auto it = exclusive ? std::upper_bound(leaf->entries.begin(), leaf->entries.end(),
-                                         from, EntryKeyLess{})
-                      : std::lower_bound(leaf->entries.begin(), leaf->entries.end(),
-                                         from, EntryKeyLess{});
-  while (leaf != nullptr && it == leaf->entries.end()) {
-    leaf = leaf->next;
-    if (leaf != nullptr) it = leaf->entries.begin();
-  }
-  if (leaf == nullptr) return std::nullopt;
-  return LeafRef{leaf->id, leaf->version, leaf->next == nullptr, &leaf->entries};
+  return scan(from, exclusive, [](std::string_view, std::uint64_t) { return false; });
 }
 
 std::size_t OrderedIndex::leaf_count() const noexcept {

@@ -53,9 +53,13 @@ class OrderedIndex {
   [[nodiscard]] std::optional<std::uint64_t> find(std::string_view key) const;
 
   /// In-order walk starting at the first key >= `from` (or > `from` when
-  /// `exclusive`); stops when `fn` returns false.
-  void scan(std::string_view from, bool exclusive,
-            const std::function<bool(std::string_view key, std::uint64_t offset)>& fn) const;
+  /// `exclusive`); stops when `fn` returns false. Returns the leaf holding
+  /// the entry `fn` declined -- the continuation point, what leaf_for(last
+  /// accepted key, true) would find -- or nullopt when the walk ran off the
+  /// end of the index.
+  std::optional<LeafRef> scan(
+      std::string_view from, bool exclusive,
+      const std::function<bool(std::string_view key, std::uint64_t offset)>& fn) const;
 
   /// The leaf holding the first entry >= `from` (> when `exclusive`);
   /// nullopt when no such entry exists.

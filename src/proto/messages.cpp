@@ -16,7 +16,7 @@ void append(std::vector<std::byte>& out, const T& v) {
   out.insert(out.end(), p, p + sizeof(T));
 }
 
-void append_str(std::vector<std::byte>& out, const std::string& s) {
+void append_str(std::vector<std::byte>& out, std::string_view s) {
   append(out, static_cast<std::uint32_t>(s.size()));
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
   out.insert(out.end(), p, p + s.size());
@@ -35,12 +35,20 @@ class Reader {
     return true;
   }
 
-  bool read_str(std::string* s) {
+  /// Length-prefixed bytes as a view into the input (no copy).
+  bool read_view(std::string_view* s) {
     std::uint32_t len = 0;
     if (!read(&len)) return false;
     if (pos_ + len > data_.size()) return false;
-    s->assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
+    *s = {reinterpret_cast<const char*>(data_.data() + pos_), len};
     pos_ += len;
+    return true;
+  }
+
+  bool read_str(std::string* s) {
+    std::string_view v;
+    if (!read_view(&v)) return false;
+    s->assign(v);
     return true;
   }
 
@@ -246,7 +254,7 @@ std::vector<std::byte> encode_scan_resp(const ScanResp& resp) {
   std::vector<std::byte> out;
   std::size_t body = 0;
   for (const auto& [k, v] : resp.entries) body += 8 + k.size() + v.size();
-  out.reserve(16 + body);
+  out.reserve(64 + body);  // 13-byte head + the optional 37-byte hint block
   append(out, resp.epoch);
   append(out, static_cast<std::uint8_t>(resp.done ? 1 : 0));
   append(out, static_cast<std::uint32_t>(resp.entries.size()));
@@ -281,7 +289,7 @@ std::optional<ScanResp> decode_scan_resp(std::span<const std::byte> payload) {
   if (static_cast<std::size_t>(count) * 8 > payload.size()) return std::nullopt;
   resp.entries.resize(count);
   for (auto& [k, v] : resp.entries) {
-    if (!r.read_str(&k) || !r.read_str(&v)) return std::nullopt;
+    if (!r.read_view(&k) || !r.read_view(&v)) return std::nullopt;
   }
   if (!r.exhausted()) {
     std::uint8_t present = 0;

@@ -10,6 +10,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -212,11 +213,14 @@ struct ScanLeafHint {
   [[nodiscard]] bool valid() const noexcept { return rkey != 0 && len != 0; }
 };
 
-/// Body of a kScan response (travels in Response::value).
+/// Body of a kScan response (travels in Response::value). `entries` are
+/// views: the encoder reads them from wherever the sender holds the bytes
+/// (the shard's index and arena), and decode_scan_resp points them into the
+/// decoded payload, so they are valid only while that payload is.
 struct ScanResp {
   std::uint64_t epoch = 0;
   bool done = false;  ///< no entries past this batch remain on this shard
-  std::vector<std::pair<std::string, std::string>> entries;  ///< sorted (key, value)
+  std::vector<std::pair<std::string_view, std::string_view>> entries;  ///< sorted (key, value)
   /// Optional trailing block: mirror page holding the continuation leaf.
   ScanLeafHint hint;
 };

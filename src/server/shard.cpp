@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -717,34 +718,37 @@ void Shard::handle_scan(proto::Request req, Duration cost, const Reply& to) {
 
   proto::ScanResp body;
   body.epoch = live_epoch;
+  body.entries.reserve(limit);
   std::size_t bytes_used = 0;
   std::uint64_t payload_bytes = 0;
-  bool more = false;
-  idx->scan(req.key, exclusive, [&](std::string_view k, std::uint64_t off) {
+  // The entries are views into the index keys and arena values; nothing
+  // mutates the store before encode_scan_resp copies them onto the wire.
+  auto take = [&](std::string_view k, std::uint64_t off) {
     const std::string_view v = store_->value_at(off);
     const std::size_t entry_bytes = 8 + k.size() + v.size();
     // Always admit the first entry even past the byte budget: a zero-entry
     // not-done response would make the client re-issue the same token forever.
     if (body.entries.size() >= limit ||
         (!body.entries.empty() && bytes_used + entry_bytes > budget)) {
-      more = true;
       return false;
     }
-    body.entries.emplace_back(std::string(k), std::string(v));
+    body.entries.emplace_back(k, v);
     bytes_used += entry_bytes;
     payload_bytes += v.size();
     return true;
-  });
-  body.done = !more;
+  };
+  // std::ref: the std::function stores the reference in place, not a heap
+  // copy of the capture.
+  const auto stop = idx->scan(req.key, exclusive, std::ref(take));
+  body.done = !stop.has_value();
   cost += cpu.per_scan_entry * static_cast<Duration>(body.entries.size()) +
           static_cast<Duration>(cpu.per_value_byte * static_cast<double>(payload_bytes));
 
   // When the batch stops mid-range, hand the client a one-sided hint for the
-  // leaf holding the continuation so short follow-ups can skip the shard CPU.
-  if (!body.done && leaf_mr_ != nullptr && !body.entries.empty()) {
-    if (auto leaf = idx->leaf_for(body.entries.back().first, /*exclusive=*/true)) {
-      if (auto hint = refresh_leaf_mirror(*leaf, live_epoch, cost)) body.hint = *hint;
-    }
+  // leaf holding the continuation (where the walk stopped) so short
+  // follow-ups can skip the shard CPU.
+  if (stop.has_value() && leaf_mr_ != nullptr) {
+    if (auto hint = refresh_leaf_mirror(*stop, live_epoch, cost)) body.hint = *hint;
   }
 
   ++stats_.scans;
@@ -759,10 +763,11 @@ void Shard::handle_scan(proto::Request req, Duration cost, const Reply& to) {
 std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
     const index::OrderedIndex::LeafRef& leaf, std::uint64_t epoch, Duration& cost) {
   if (leaf_mr_ == nullptr || mirror_slots_.empty()) return std::nullopt;
-  std::vector<std::pair<std::string_view, std::string_view>> kv;
-  kv.reserve(leaf.entries->size());
-  for (const auto& e : *leaf.entries) kv.emplace_back(e.key, store_->value_at(e.offset));
-  if (index::leaf_page_bytes(kv) > cfg_.scan_mirror_page_bytes) {
+  std::size_t page_bytes = index::kLeafPageHeaderBytes;
+  for (const auto& e : *leaf.entries) {
+    page_bytes += index::leaf_page_entry_bytes(e.key, store_->value_at(e.offset));
+  }
+  if (page_bytes > cfg_.scan_mirror_page_bytes) {
     ++stats_.scan_leaf_oversize;
     return std::nullopt;
   }
@@ -783,10 +788,9 @@ std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
   if (!ms.used || ms.leaf_version != leaf.version || ms.epoch != epoch) {
     const std::size_t off =
         static_cast<std::size_t>(mslot) * cfg_.scan_mirror_page_bytes;
-    std::span<std::byte> page{leaf_region_.data() + off, cfg_.scan_mirror_page_bytes};
-    if (!index::encode_leaf_page(page, leaf.id, leaf.version, epoch, leaf.last, kv)) {
-      return std::nullopt;
-    }
+    index::LeafPageWriter page({leaf_region_.data() + off, cfg_.scan_mirror_page_bytes});
+    for (const auto& e : *leaf.entries) page.add(e.key, store_->value_at(e.offset));
+    if (!page.finish(leaf.id, leaf.version, epoch, leaf.last)) return std::nullopt;
     ms.used = true;
     ms.leaf_id = leaf.id;
     ms.leaf_version = leaf.version;

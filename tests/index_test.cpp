@@ -263,15 +263,55 @@ TEST(LeafPage, TruncationRejected) {
 
 TEST(LeafPage, EveryFlippedByteRejected) {
   // The checksum covers header and payload alike: flipping ANY byte of the
-  // encoded prefix must be caught (this is what makes torn RDMA reads safe).
+  // encoded prefix -- by a whole-byte pattern or by any single bit -- must
+  // be caught (this is what makes torn RDMA reads safe). The payload here
+  // (47 bytes) is not a whole number of checksum words, so the byte tail is
+  // covered too.
   const auto entries = sample_entries();
   std::vector<std::byte> page(leaf_page_bytes(entries));
+  ASSERT_NE((page.size() - kLeafPageHeaderBytes) % 8, 0u);
   ASSERT_TRUE(encode_leaf_page(page, 5, 9, 2, true, entries));
   ASSERT_TRUE(decode_leaf_page(page).has_value());
   for (std::size_t i = 0; i < page.size(); ++i) {
     std::vector<std::byte> torn = page;
     torn[i] ^= std::byte{0xA5};
     EXPECT_FALSE(decode_leaf_page(torn).has_value()) << "byte " << i;
+    for (int bit = 0; bit < 8; ++bit) {
+      torn = page;
+      torn[i] ^= std::byte{static_cast<unsigned char>(1u << bit)};
+      EXPECT_FALSE(decode_leaf_page(torn).has_value()) << "byte " << i << " bit " << bit;
+    }
+  }
+}
+
+TEST(LeafPage, EveryTornSuffixRejected) {
+  // The fabric's injected torn read garbles every byte past a prefix
+  // (xor 0xA5). Whatever the tear offset, the page must not validate.
+  const auto entries = sample_entries();
+  std::vector<std::byte> page(leaf_page_bytes(entries));
+  ASSERT_TRUE(encode_leaf_page(page, 5, 9, 2, false, entries));
+  for (std::size_t tear = 0; tear < page.size(); ++tear) {
+    std::vector<std::byte> torn = page;
+    for (std::size_t i = tear; i < torn.size(); ++i) torn[i] ^= std::byte{0xA5};
+    EXPECT_FALSE(decode_leaf_page(torn).has_value()) << "tear " << tear;
+  }
+}
+
+TEST(LeafPage, DecodedViewsAliasInput) {
+  // Copy-once contract: decoded keys and values point into the page bytes.
+  const auto entries = sample_entries();
+  std::vector<std::byte> page(leaf_page_bytes(entries));
+  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, false, entries));
+  const auto decoded = decode_leaf_page(page);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->entries.size(), entries.size());
+  const auto* lo = reinterpret_cast<const char*>(page.data());
+  const auto* hi = lo + page.size();
+  for (const auto& [k, v] : decoded->entries) {
+    for (const std::string_view part : {k, v}) {
+      EXPECT_GE(part.data(), lo);
+      EXPECT_LE(part.data() + part.size(), hi);
+    }
   }
 }
 

@@ -409,7 +409,8 @@ ScanResp sample_scan_resp(bool with_hint) {
 TEST(Messages, ScanRespRoundTrip) {
   for (const bool with_hint : {false, true}) {
     const ScanResp resp = sample_scan_resp(with_hint);
-    const auto back = decode_scan_resp(encode_scan_resp(resp));
+    const auto payload = encode_scan_resp(resp);  // the decoded entries alias it
+    const auto back = decode_scan_resp(payload);
     ASSERT_TRUE(back.has_value()) << "hint=" << with_hint;
     EXPECT_EQ(back->epoch, 12u);
     EXPECT_FALSE(back->done);
@@ -425,6 +426,22 @@ TEST(Messages, ScanRespRoundTrip) {
       EXPECT_EQ(back->hint.len, 4096u);
       EXPECT_EQ(back->hint.leaf_id, 19u);
       EXPECT_EQ(back->hint.leaf_version, 6u);
+    }
+  }
+}
+
+TEST(Messages, ScanRespViewsAliasPayload) {
+  // Copy-once contract: decoded keys and values point into the payload.
+  const auto payload = encode_scan_resp(sample_scan_resp(true));
+  const auto back = decode_scan_resp(payload);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->entries.size(), 3u);
+  const auto* lo = reinterpret_cast<const char*>(payload.data());
+  const auto* hi = lo + payload.size();
+  for (const auto& [k, v] : back->entries) {
+    for (const std::string_view part : {k, v}) {
+      EXPECT_GE(part.data(), lo);
+      EXPECT_LE(part.data() + part.size(), hi);
     }
   }
 }

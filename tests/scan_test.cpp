@@ -14,7 +14,9 @@
 
 #include "chaos/chaos.hpp"
 #include "chaos_util.hpp"
+#include "common/rng.hpp"
 #include "hydradb/hydra_cluster.hpp"
+#include "index/leaf_page.hpp"
 
 namespace hydra {
 namespace {
@@ -121,6 +123,119 @@ TEST(ScanCluster, LeafReadsServeAndParityWithMessagePath) {
   }
   EXPECT_GT(leaf_reads, 0u);
   EXPECT_EQ(with_leaf, without_leaf);
+}
+
+// How the parity runs below serve continuations.
+enum class LeafMode {
+  kOff,        ///< message path only
+  kOn,         ///< one-sided leaf reads of the shard's mirror pages
+  kTruncated,  ///< leaf reads, but each non-last page is cut to its first
+               ///< entry once read: a valid page that is stale for later readers
+};
+
+struct ParityRun {
+  std::vector<client::Client::ScanEntries> results;
+  std::uint64_t pages_served = 0;   ///< one-sided reads of a mirror page
+  std::uint64_t page_entries = 0;   ///< entries on those pages
+  std::uint64_t leaf_reads = 0;     ///< pages the cursor took entries from
+  std::uint64_t fallbacks = 0;      ///< pages that failed validation
+  std::uint64_t fresh_entries = 0;  ///< entries the cursor took from pages
+};
+
+ParityRun run_parity_scans(std::uint32_t batch, LeafMode mode) {
+  db::ClusterOptions opts = scan_options(mode != LeafMode::kOff);
+  opts.shard_template.store.index_fanout = 4;  // 2-4 entries per leaf
+  opts.client_template.scan_batch = batch;
+  db::HydraCluster cluster(opts);
+  for (int i = 0; i < 240; ++i) {
+    if (i % 7 != 3) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  }
+
+  ParityRun run;
+  cluster.fabric().set_read_fault_hook([&](NodeId, NodeId dst, const fabric::RemoteAddr& addr,
+                                           std::uint32_t size) {
+    for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count()); ++s) {
+      server::Shard* shard = cluster.shard(s);
+      if (shard->node() != dst || shard->scan_leaf_rkey() != addr.rkey) continue;
+      std::byte* bytes = cluster.fabric().node(dst).find_region(addr.rkey)->base() + addr.offset;
+      const auto page = index::decode_leaf_page({bytes, size});
+      if (!page.has_value()) break;
+      ++run.pages_served;
+      run.page_entries += page->entries.size();
+      if (mode == LeafMode::kTruncated && !page->last && page->entries.size() > 1) {
+        // Copy out first: the decoded entries alias the bytes being rewritten.
+        const std::string key(page->entries.front().first);
+        const std::string value(page->entries.front().second);
+        EXPECT_TRUE(index::encode_leaf_page({bytes, size}, page->leaf_id, page->leaf_version,
+                                            page->epoch, /*last=*/false, {{key, value}}));
+      }
+      break;
+    }
+    return fabric::ReadFault{};
+  });
+
+  Xoshiro256 rng(0x5CA17E57);
+  for (int r = 0; r < 40; ++r) {
+    std::string start = skey(static_cast<int>(rng.below(250)));
+    if (rng.below(4) == 0) start += "x";  // start between two keys
+    const auto limit = static_cast<std::uint32_t>(1 + rng.below(90));
+    client::Client::ScanEntries out;
+    EXPECT_EQ(cluster.scan(start, limit, &out), Status::kOk);
+    run.results.push_back(std::move(out));
+  }
+  std::uint64_t client_entries = 0;
+  std::uint64_t shard_entries = 0;
+  for (const auto* c : cluster.clients()) {
+    run.leaf_reads += c->stats().scan_leaf_reads;
+    run.fallbacks += c->stats().scan_leaf_fallbacks;
+    client_entries += c->stats().scan_entries;
+  }
+  for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count()); ++s) {
+    shard_entries += cluster.shard(s)->stats().scan_entries;
+  }
+  run.fresh_entries = client_entries - shard_entries;  // message entries are both
+  return run;
+}
+
+TEST(ScanCluster, CursorParityAcrossBatchSizesAndLeafReads) {
+  // The same seeded scans over a small-fanout tree, for every batch size and
+  // continuation mode, must return identical entries. Together the runs
+  // cover the two edges of the cursor's page handling: a page whose prefix
+  // is at or below the stream's resume key (only the suffix is taken), and
+  // an all-stale page that is not the shard's last, which must fall back to
+  // the message path.
+  const std::vector<client::Client::ScanEntries> expected =
+      run_parity_scans(8, LeafMode::kOff).results;
+  std::uint64_t skipped_prefix = 0;
+  std::uint64_t all_stale = 0;
+  for (const std::uint32_t batch : {1u, 8u, 32u}) {
+    for (const LeafMode mode : {LeafMode::kOff, LeafMode::kOn, LeafMode::kTruncated}) {
+      const ParityRun run = run_parity_scans(batch, mode);
+      const std::string label =
+          "batch=" + std::to_string(batch) + " mode=" + std::to_string(static_cast<int>(mode));
+      ASSERT_EQ(run.results.size(), expected.size()) << label;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(run.results[i], expected[i]) << label << " scan " << i;
+      }
+      // Nothing is written during the scans, so every page validates.
+      EXPECT_EQ(run.fallbacks, 0u) << label;
+      if (mode == LeafMode::kOff) {
+        EXPECT_EQ(run.pages_served, 0u) << label;
+      } else if (mode == LeafMode::kOn) {
+        EXPECT_GT(run.leaf_reads, 0u) << label;
+        EXPECT_EQ(run.leaf_reads, run.pages_served) << label;
+        skipped_prefix += run.page_entries - run.fresh_entries;
+      } else {
+        // A served page neither taken nor rejected was all stale.
+        all_stale += run.pages_served - run.leaf_reads - run.fallbacks;
+      }
+    }
+  }
+  EXPECT_GT(skipped_prefix, 0u);
+  EXPECT_GT(all_stale, 0u);
+  std::size_t returned = 0;
+  for (const auto& r : expected) returned += r.size();
+  EXPECT_GT(returned, 500u);  // the scans are not trivially empty
 }
 
 TEST(ScanCluster, IndexlessShardRejectsScan) {
